@@ -15,7 +15,7 @@ use crate::adapter::{
     DecisionCtx, DecisionTrigger, RateAdapter, RateDecision, RateIdx, TxAttempt, TxOutcome,
 };
 use crate::recovery::{ErrorRecovery, FrameArq};
-use crate::thresholds::{select_rate, RateThresholds};
+use crate::thresholds::select_rate;
 use softrate_phy::rates::{BitRate, PAPER_RATES};
 
 /// Configuration of a SoftRate sender.
@@ -62,10 +62,11 @@ impl Default for SoftRateConfig {
     }
 }
 
-/// The SoftRate rate-adaptation state machine.
+/// The SoftRate rate-adaptation state machine. Decisions compare predicted
+/// goodput through [`select_rate`]; the equivalent (α_i, β_i) table is
+/// built on demand by `RateThresholds::compute`, never per sender.
 pub struct SoftRate {
     cfg: SoftRateConfig,
-    thresholds: RateThresholds,
     current: RateIdx,
     silent_losses: u32,
     /// Most recent interference-free BER feedback, if any.
@@ -76,10 +77,8 @@ impl SoftRate {
     /// Creates a sender with the given configuration.
     pub fn new(cfg: SoftRateConfig) -> Self {
         assert!(cfg.initial_rate < cfg.rates.len());
-        let thresholds = RateThresholds::compute(&cfg.rates, cfg.frame_bits, &*cfg.recovery);
         SoftRate {
             current: cfg.initial_rate,
-            thresholds,
             silent_losses: 0,
             last_ber: None,
             cfg,
@@ -89,12 +88,6 @@ impl SoftRate {
     /// Creates a sender with the paper's defaults.
     pub fn with_defaults() -> Self {
         SoftRate::new(SoftRateConfig::default())
-    }
-
-    /// The threshold table in effect (for inspection / the threshold
-    /// table generator).
-    pub fn thresholds(&self) -> &RateThresholds {
-        &self.thresholds
     }
 
     /// Current rate index.
@@ -197,6 +190,8 @@ impl RateAdapter for SoftRate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::thresholds::RateThresholds;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn outcome(rate_idx: usize) -> TxOutcome {
         TxOutcome {
@@ -276,7 +271,8 @@ mod tests {
         sr.on_outcome(&o);
         let here = sr.current_rate_idx();
         // A BER inside the optimal window of the current rate: stay.
-        let t = sr.thresholds().clone();
+        let cfg = SoftRateConfig::default();
+        let t = RateThresholds::compute(&cfg.rates, cfg.frame_bits, &*cfg.recovery);
         let mid = (t.alpha[here].max(1e-9) * t.beta[here]).sqrt();
         let mut o = outcome(here);
         o.ber_feedback = Some(mid);
@@ -435,5 +431,53 @@ mod tests {
             harq.current_rate_idx() >= 3,
             "chunked HARQ tolerates BER 3e-4"
         );
+    }
+
+    /// `FrameArq` that counts its `goodput` evaluations.
+    struct CountingArq(Arc<AtomicUsize>);
+
+    impl ErrorRecovery for CountingArq {
+        fn name(&self) -> &'static str {
+            "counting-arq"
+        }
+
+        fn goodput(&self, rate: BitRate, frame_bits: usize, ber: f64) -> f64 {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            FrameArq.goodput(rate, frame_bits, ber)
+        }
+    }
+
+    #[test]
+    fn construction_does_no_goodput_work() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut sr = SoftRate::new(SoftRateConfig {
+            recovery: Arc::new(CountingArq(calls.clone())),
+            ..Default::default()
+        });
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            0,
+            "new must not evaluate goodput"
+        );
+        let silent = TxOutcome {
+            acked: false,
+            feedback_received: false,
+            ber_feedback: None,
+            ..outcome(0)
+        };
+        sr.on_outcome(&silent);
+        let postamble = TxOutcome {
+            postamble_ack: true,
+            ..silent
+        };
+        sr.on_outcome(&postamble);
+        sr.next_attempt(0.0);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            0,
+            "outcomes without BER feedback must not evaluate goodput"
+        );
+        sr.on_outcome(&outcome(0));
+        assert!(calls.load(Ordering::Relaxed) > 0);
     }
 }

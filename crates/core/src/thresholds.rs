@@ -215,6 +215,29 @@ mod tests {
     }
 
     #[test]
+    fn single_step_decisions_match_the_threshold_table() {
+        // The (alpha, beta) table is what `select_rate` computes on the
+        // fly: with one-level jumps it moves up below alpha, down above
+        // beta, and holds between them.
+        for rec in [&FrameArq as &dyn ErrorRecovery, &ChunkedHarq::default()] {
+            let t = RateThresholds::compute(PAPER_RATES, FRAME_BITS, rec);
+            let select = |i, ber| select_rate(i, ber, PAPER_RATES, FRAME_BITS, rec, 1);
+            let name = rec.name();
+            for i in 0..t.len() {
+                let (a, b) = (t.alpha[i], t.beta[i]);
+                if i + 1 < t.len() {
+                    assert_eq!(select(i, a / 2.0), i + 1, "{name} rate {i}: alpha/2");
+                }
+                if i > 0 {
+                    assert_eq!(select(i, 2.0 * b), i - 1, "{name} rate {i}: 2*beta");
+                }
+                let mid = (a.max(BER_FLOOR) * b).sqrt();
+                assert_eq!(select(i, mid), i, "{name} rate {i}: sqrt(alpha*beta)");
+            }
+        }
+    }
+
+    #[test]
     fn select_rate_moves_up_on_tiny_ber() {
         let sel = select_rate(2, 1e-9, PAPER_RATES, FRAME_BITS, &FrameArq, 2);
         assert!(sel > 2, "clean channel must move up, got {sel}");

@@ -661,22 +661,6 @@ impl SpatialMedium {
         sensed_until
     }
 
-    /// The AP with the strongest mean RSSI at `st`'s position at `t` —
-    /// `params.best_ap` routed through the SNR memo (same comparisons,
-    /// same first-wins tie-break).
-    fn best_ap_at(&mut self, st: usize, t: f64) -> (usize, f64) {
-        let mut best = 0;
-        let mut best_rssi = f64::NEG_INFINITY;
-        for a in 0..self.params.aps.len() {
-            let rssi = self.snr_to_ap(st, a, t);
-            if rssi > best_rssi {
-                best = a;
-                best_rssi = rssi;
-            }
-        }
-        (best, best_rssi)
-    }
-
     fn make_adapter(&self, st: usize) -> Box<dyn RateAdapter> {
         // The omniscient oracle needs the station's *current* link, which
         // changes at handoff; the medium injects the rate at transmit time
@@ -1681,40 +1665,23 @@ impl Medium for SpatialMedium {
         // a station stranded on the dark one re-homes without waiting out
         // the hysteresis (association to a dead AP is worth nothing).
         // The gate requires an *active* outage, so faults-off — and
-        // faulted runs outside the outage window — take the original
-        // path untouched.
-        let (best, best_rssi, bypass_hysteresis) =
-            if self.faults.as_ref().is_some_and(|f| f.any_ap_down) {
-                let down = self
-                    .faults
-                    .as_ref()
-                    .map(|f| f.ap_down.clone())
-                    .expect("checked");
-                let mut best = usize::MAX;
-                let mut best_rssi = f64::NEG_INFINITY;
-                for (a, &is_down) in down.iter().enumerate() {
-                    if is_down {
-                        continue;
-                    }
-                    let rssi = self.snr_to_ap(st, a, now);
-                    if rssi > best_rssi {
-                        best = a;
-                        best_rssi = rssi;
-                    }
-                }
-                if best == usize::MAX {
-                    // Every AP is dark: nowhere to go; check again later.
-                    core.events
-                        .schedule(now + interval, MacEv::Medium(SpatialEv::Roam { st }));
-                    return;
-                }
-                (best, best_rssi, down[cur])
-            } else {
-                let (best, best_rssi) = self.best_ap_at(st, now);
-                (best, best_rssi, false)
-            };
-        let cur_rssi = self.snr_to_ap(st, cur, now);
-        if best != cur && (bypass_hysteresis || best_rssi >= cur_rssi + hysteresis) {
+        // faulted runs outside the outage window — consider every AP.
+        let pos = self.pos_at(st, now);
+        let down = self
+            .faults
+            .as_ref()
+            .filter(|f| f.any_ap_down)
+            .map(|f| &f.ap_down[..]);
+        let Some((best, best_rssi)) = self.params.best_ap(pos, down) else {
+            // Every AP is dark: nowhere to go; check again later.
+            core.events
+                .schedule(now + interval, MacEv::Medium(SpatialEv::Roam { st }));
+            return;
+        };
+        let bypass_hysteresis = down.is_some_and(|d| d[cur]);
+        if best != cur
+            && (bypass_hysteresis || best_rssi >= self.snr_to_ap(st, cur, now) + hysteresis)
+        {
             // Defer while either of the station's links has a frame in
             // flight: the pending attempt must resolve against the link
             // state (fading process, epoch, adapter) it was launched on.
@@ -1895,6 +1862,15 @@ impl SpatialSim {
             // Flow traffic sizes data frames from the transport's MSS.
             cfg.payload_bytes = tc.tcp.mss + IP_TCP_HEADER;
         }
+        // A NaN duration or stagger would never let the event loop reach
+        // its horizon; a negative stagger would kick stations off before 0.
+        let (d, s, p) = (cfg.duration, cfg.kickoff_stagger_s, cfg.payload_bytes);
+        if !(d.is_finite() && d > 0.0 && s.is_finite() && s >= 0.0 && p > IP_TCP_HEADER) {
+            return Err(SpatialError(format!(
+                "need finite duration > 0, finite kickoff_stagger_s >= 0 and \
+                 payload_bytes > {IP_TCP_HEADER}; got {d}, {s}, {p}"
+            )));
+        }
         let params = cfg.spatial.resolve()?;
         if let Some(fc) = &cfg.faults {
             if let Some(o) = &fc.ap_outage {
@@ -2027,7 +2003,10 @@ impl SpatialSim {
         let mut ports = Vec::with_capacity(n);
         for s in 0..n {
             let pos = medium.params.station_pos(medium.cfg.seed, s, 0.0);
-            let (ap, _) = medium.params.best_ap(pos);
+            let (ap, _) = medium
+                .params
+                .best_ap(pos, None)
+                .expect("a resolved grid has at least one AP");
             medium.initial_assoc.push(ap);
             let link = medium.make_link(s, ap, 0);
             ports.push(Port::new(medium.make_adapter(s)));
@@ -2182,6 +2161,35 @@ mod tests {
     /// the bottleneck of a whole floor).
     fn flows(traffic: TrafficKind, upload: bool) -> SpatialTraffic {
         SpatialTraffic::Flows(TransportConfig::enterprise(traffic, upload, 0x5A7A))
+    }
+
+    #[test]
+    fn bad_run_parameters_are_rejected() {
+        let base = || SpatialConfig::new(AdapterKind::Fixed(2), small_spec(1, 20.0, 20));
+        let mut bad = Vec::new();
+        for d in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let mut cfg = base();
+            cfg.duration = d;
+            bad.push(cfg);
+        }
+        for s in [f64::NAN, f64::INFINITY, -1e-4] {
+            let mut cfg = base();
+            cfg.kickoff_stagger_s = s;
+            bad.push(cfg);
+        }
+        let mut cfg = base();
+        cfg.payload_bytes = 0;
+        bad.push(cfg);
+        for cfg in bad {
+            let what = format!(
+                "{:?}",
+                (cfg.duration, cfg.kickoff_stagger_s, cfg.payload_bytes)
+            );
+            assert!(SpatialSim::new(cfg).is_err(), "accepted {what}");
+        }
+        let mut cfg = base();
+        cfg.kickoff_stagger_s = 0.0;
+        assert!(SpatialSim::new(cfg).is_ok(), "a zero stagger is valid");
     }
 
     #[test]

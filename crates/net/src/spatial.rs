@@ -9,6 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::geometry::{ap_grid, grid_bounds, mean_snr_db, Point, Rect};
+use crate::grid::dist2;
 use crate::mobility::MobilitySpec;
 use crate::stream::mix_seed;
 
@@ -126,6 +127,16 @@ impl SpatialSpec {
         if self.n_stations == 0 {
             return fail("spatial: n_stations must be >= 1".into());
         }
+        let levels = [self.snr_ref_db, self.sense_snr_db, self.capture_sir_db];
+        if levels.iter().flatten().any(|v| !v.is_finite()) {
+            return fail(format!(
+                "spatial: snr_ref_db, sense_snr_db and capture_sir_db must be finite, got {levels:?}"
+            ));
+        }
+        // `range_band` and `best_ap` rely on SNR falling with distance.
+        if let Some(n) = self.path_loss_exp.filter(|n| !(n.is_finite() && *n > 0.0)) {
+            return fail(format!("spatial: path_loss_exp must be positive, got {n}"));
+        }
         let speed = self.mobility.speed_mps();
         if !matches!(self.mobility, MobilitySpec::Static) && (!speed.is_finite() || speed <= 0.0) {
             return fail(format!(
@@ -227,18 +238,33 @@ impl SpatialParams {
         self.range_band(threshold_db).1
     }
 
-    /// The AP with the strongest mean RSSI at `pos`, and that RSSI in dB.
-    pub fn best_ap(&self, pos: Point) -> (usize, f64) {
-        let mut best = 0;
-        let mut best_rssi = f64::NEG_INFINITY;
-        for (a, &ap) in self.aps.iter().enumerate() {
+    /// The AP with the strongest mean RSSI at `pos` (first index wins
+    /// ties) and that RSSI in dB, skipping APs flagged in `down`; `None`
+    /// when every AP is down. Only APs whose clamped `max(d², 1)` lies
+    /// within a guard factor of the nearest one's run the exact
+    /// `snr_between`; the rest provably score lower (DESIGN §7).
+    pub fn best_ap(&self, pos: Point, down: Option<&[bool]>) -> Option<(usize, f64)> {
+        let d2 = |ap: Point| dist2(pos, ap).max(1.0);
+        let live = || {
+            self.aps
+                .iter()
+                .enumerate()
+                .filter(|&(a, _)| !down.is_some_and(|d| d[a]))
+        };
+        let nearest = live().map(|(_, &ap)| d2(ap)).fold(f64::INFINITY, f64::min);
+        // Decades of d² that buy an SNR deficit far above rounding: a
+        // relative pad for the path-loss term (as in `range_band`) plus
+        // 1 µdB·(1 + |snr_ref|) for the reference term.
+        let pad = 1e-9 + 1e-6 * (1.0 + self.snr_ref_db.abs()) / (5.0 * self.path_loss_exp);
+        let cutoff = nearest * 10f64.powf(pad);
+        let mut best = None;
+        for (a, &ap) in live().filter(|&(_, &ap)| d2(ap) <= cutoff) {
             let rssi = self.snr_between(pos, ap);
-            if rssi > best_rssi {
-                best = a;
-                best_rssi = rssi;
+            if best.is_none_or(|(_, b)| rssi > b) {
+                best = Some((a, rssi));
             }
         }
-        (best, best_rssi)
+        best
     }
 }
 
@@ -315,12 +341,42 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_bad_radio_parameters() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut s = spec();
+            s.snr_ref_db = Some(v);
+            assert!(s.resolve().is_err(), "snr_ref_db {v}");
+            let mut s = spec();
+            s.sense_snr_db = Some(v);
+            assert!(s.resolve().is_err(), "sense_snr_db {v}");
+            let mut s = spec();
+            s.capture_sir_db = Some(v);
+            assert!(s.resolve().is_err(), "capture_sir_db {v}");
+        }
+        for v in [0.0, -2.7, f64::NAN, f64::INFINITY] {
+            let mut s = spec();
+            s.path_loss_exp = Some(v);
+            assert!(s.resolve().is_err(), "path_loss_exp {v}");
+        }
+    }
+
+    #[test]
     fn best_ap_is_the_nearest() {
         let p = spec().resolve().unwrap();
         let near_middle = Point { x: 31.0, y: 0.5 };
-        assert_eq!(p.best_ap(near_middle).0, 1);
+        assert_eq!(p.best_ap(near_middle, None).unwrap().0, 1);
         let near_last = Point { x: 59.0, y: -1.0 };
-        assert_eq!(p.best_ap(near_last).0, 2);
+        assert_eq!(p.best_ap(near_last, None).unwrap().0, 2);
+    }
+
+    #[test]
+    fn best_ap_skips_down_aps() {
+        let p = spec().resolve().unwrap();
+        let near_middle = Point { x: 31.0, y: 0.5 };
+        let (a, rssi) = p.best_ap(near_middle, Some(&[false, true, false])).unwrap();
+        assert_eq!(a, 2, "AP 2 at 29 m beats AP 0 at 31 m");
+        assert_eq!(rssi, p.snr_between(near_middle, p.aps[2]));
+        assert!(p.best_ap(near_middle, Some(&[true; 3])).is_none());
     }
 
     #[test]

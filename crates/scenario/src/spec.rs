@@ -898,6 +898,22 @@ mod tests {
         }
         assert!(s.validate().is_err(), "spatial resolve errors must surface");
 
+        // A non-positive path-loss exponent breaks distance monotonicity;
+        // the TOML surface rejects it through the same resolve.
+        for exp in [0.0, -2.0] {
+            let mut s = spatial_demo();
+            if let Some(sp) = &mut s.topology.spatial {
+                sp.path_loss_exp = Some(exp);
+            }
+            let err = ScenarioSpec::from_toml(&s.to_toml()).unwrap_err();
+            assert!(err.0.contains("path_loss_exp"), "{err}");
+        }
+        let mut s = spatial_demo();
+        if let Some(sp) = &mut s.topology.spatial {
+            sp.snr_ref_db = Some(f64::NAN);
+        }
+        assert!(s.validate().is_err(), "non-finite snr_ref_db");
+
         // queue_cap on the queueless saturated-uplink fast path would be
         // silently ignored — reject it instead.
         let mut s = spatial_demo();

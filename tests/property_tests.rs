@@ -351,3 +351,82 @@ proptest! {
         }
     }
 }
+
+// ---- Pruned AP association ----------------------------------------------
+//
+// `SpatialParams::best_ap` evaluates the exact path-loss expression only
+// for APs within a guard band of the nearest one. It must return what the
+// exhaustive first-wins argmax over `snr_between` returns — the same AP
+// and the same RSSI bits — including at exact AP sites, at midpoints
+// between APs, under the 1 m clamp (spacings below 2 m make whole
+// neighbourhoods tie), and with a live-AP mask.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn pruned_association_matches_the_exhaustive_loop(
+        cols in 1usize..=30,
+        rows in 1usize..=30,
+        spacing in 0.5f64..60.0,
+        tiny in any::<bool>(),
+        exp in 1.5f64..6.0,
+        snr_ref in -10.0f64..80.0,
+        seed in any::<u64>(),
+    ) {
+        use softrate::net::geometry::Point;
+        use softrate::net::mobility::MobilitySpec;
+        use softrate::net::spatial::SpatialSpec;
+        let spacing = if tiny { 0.5 + (spacing - 0.5) / 59.5 * 1.5 } else { spacing };
+        let p = SpatialSpec {
+            ap_cols: cols,
+            ap_rows: rows,
+            ap_spacing_m: spacing,
+            n_stations: 1,
+            snr_ref_db: Some(snr_ref),
+            path_loss_exp: Some(exp),
+            sense_snr_db: None,
+            capture_sir_db: None,
+            doppler_hz: None,
+            mobility: MobilitySpec::Static,
+            roaming: None,
+        }
+        .resolve()
+        .unwrap();
+        let n_aps = p.aps.len();
+        let u = |k: u64| hash_uniform(&[seed, k]);
+        let pick = |k: u64| ((u(k) * n_aps as f64) as usize).min(n_aps - 1);
+        let mut positions = Vec::new();
+        for k in 0..24u64 {
+            positions.push(p.bounds.lerp(u(2 * k), u(2 * k + 1)));
+            let (a, b) = (p.aps[pick(100 + k)], p.aps[pick(200 + k)]);
+            positions.push(a);
+            positions.push(Point { x: 0.5 * (a.x + b.x), y: 0.5 * (a.y + b.y) });
+            // The centre of a grid cell: four APs equidistant.
+            positions.push(Point { x: a.x + 0.5 * spacing, y: a.y + 0.5 * spacing });
+        }
+        let masks = [
+            None,
+            Some((0..n_aps as u64).map(|a| u(300 + a) < 0.5).collect::<Vec<bool>>()),
+            Some((0..n_aps as u64).map(|a| u(400 + a) < 0.95).collect::<Vec<bool>>()),
+        ];
+        for down in &masks {
+            for &pos in &positions {
+                let mut expect = None;
+                let mut best_rssi = f64::NEG_INFINITY;
+                for (a, &ap) in p.aps.iter().enumerate() {
+                    if down.as_ref().is_some_and(|d| d[a]) {
+                        continue;
+                    }
+                    let rssi = p.snr_between(pos, ap);
+                    if rssi > best_rssi {
+                        expect = Some(a);
+                        best_rssi = rssi;
+                    }
+                }
+                let expect = expect.map(|a| (a, best_rssi.to_bits()));
+                let got = p.best_ap(pos, down.as_deref()).map(|(a, r)| (a, r.to_bits()));
+                prop_assert_eq!(got, expect, "pos {:?}", pos);
+            }
+        }
+    }
+}
