@@ -26,9 +26,10 @@
 //! carry timer overhead, so the JSON is only refreshed on unprofiled
 //! runs. `--gate` is the CI perf check: one quick 400-station measurement
 //! that must stay within 30% of the committed trajectory — plus, when the
-//! committed file carries them, a 400-station TCP point and a sharded
-//! 1600-station point (skipped with a notice when the host has fewer
-//! cores than the committed row's shard count).
+//! committed file carries them, a 10k-station city point, a 400-station
+//! TCP point and a sharded 1600-station point (skipped with a notice when
+//! the host has fewer cores than the committed row's shard count). Every
+//! gated run must also process exactly its pinned number of events.
 //!
 //! `--shards N` runs the ladder under the conservative parallel scheduler
 //! (`SpatialConfig::shards = N`). Results are byte-identical to the
@@ -259,6 +260,14 @@ fn print_profile(p: &PhaseProfile) {
     // Batch statistics: kernel time plus the same-tick cohort-size
     // distribution (width ≥ 2 cohorts only — width-1 "cohorts" are the
     // ordinary scalar path and are not counted).
+    // Carrier-sense work: index entries examined per sense (a count, so
+    // it compares across hosts where the seconds above do not).
+    let senses = p.deferrals + p.transmissions;
+    println!(
+        "                   sense candidates {}  per sense {:.3}",
+        p.sense_candidates,
+        p.sense_candidates as f64 / senses.max(1) as f64,
+    );
     let (p50, p95) = cohort_percentiles(&p.cohort_hist);
     println!(
         "                   kernel {:6.3}s ({:4.1}%)  cohorts {}  \
@@ -307,6 +316,13 @@ fn run_gate() -> ! {
     const GATE_SIM_SECONDS: f64 = 2.0;
     const GATE_CITY_SIM_SECONDS: f64 = 0.5;
     const GATE_TOLERANCE: f64 = 0.70;
+    // `events_processed` of each gated run, so the gate also checks that
+    // it timed the same computation: a sense bug that skips audible
+    // transmitters changes the deferral count, and may well run faster.
+    const GATE_EVENTS_UDP: u64 = 1_719_563;
+    const GATE_EVENTS_CITY: u64 = 2_028_372;
+    const GATE_EVENTS_TCP: u64 = 253_008;
+    const GATE_EVENTS_SHARDED: u64 = 3_815_692;
     banner("netscale --gate — perf regression check vs BENCH_netscale.json");
     let committed: NetScaleResults = match std::fs::read_to_string("BENCH_netscale.json")
         .map_err(|e| e.to_string())
@@ -323,8 +339,8 @@ fn run_gate() -> ! {
         std::process::exit(1);
     };
     // Warmup, then best of two (the simulation is deterministic; only the
-    // clock varies).
-    let measure = |stations: usize, traffic: &SpatialTraffic, duration: f64, shards| -> f64 {
+    // clock varies). Returns events/s and the event count.
+    let measure = |stations: usize, traffic: &SpatialTraffic, duration: f64, shards| {
         let rung = LADDER
             .iter()
             .find(|r| r.stations == stations)
@@ -334,21 +350,27 @@ fn run_gate() -> ! {
         let sim = SpatialSim::new(cfg).expect("bench spec is valid");
         let started = std::time::Instant::now();
         let report = sim.run();
-        report.events_processed as f64 / started.elapsed().as_secs_f64().max(1e-9)
+        let eps = report.events_processed as f64 / started.elapsed().as_secs_f64().max(1e-9);
+        (eps, report.events_processed)
     };
     let check = |label: &str,
                  stations: usize,
                  traffic: &SpatialTraffic,
                  shards,
                  sim_seconds: f64,
-                 committed_eps| {
+                 committed_eps,
+                 expected_events: u64| {
         measure(stations, traffic, sim_seconds / 4.0, shards);
-        let events_per_sec = measure(stations, traffic, sim_seconds, shards).max(measure(
-            stations,
-            traffic,
-            sim_seconds,
-            shards,
-        ));
+        let (a, events) = measure(stations, traffic, sim_seconds, shards);
+        let (b, _) = measure(stations, traffic, sim_seconds, shards);
+        if events != expected_events {
+            eprintln!(
+                "gate FAILED ({label}): {stations} stations, {sim_seconds} s processed \
+                 {events} events, expected {expected_events}"
+            );
+            std::process::exit(1);
+        }
+        let events_per_sec = a.max(b);
         let floor: f64 = committed_eps * GATE_TOLERANCE;
         println!(
             "{label}: measured {events_per_sec:.0} events/s at {stations} stations; \
@@ -370,6 +392,7 @@ fn run_gate() -> ! {
         1,
         GATE_SIM_SECONDS,
         baseline.events_per_sec,
+        GATE_EVENTS_UDP,
     );
     // The 10k-station city rung: pins throughput at ladder scale, where
     // the cohort-batched hot path and the memo layers carry the load. A
@@ -386,6 +409,7 @@ fn run_gate() -> ! {
             1,
             GATE_CITY_SIM_SECONDS,
             city.events_per_sec,
+            GATE_EVENTS_CITY,
         );
     } else {
         println!("(no committed {GATE_CITY_STATIONS}-station row; small rung only)");
@@ -403,6 +427,7 @@ fn run_gate() -> ! {
             1,
             GATE_SIM_SECONDS,
             tcp_baseline.events_per_sec,
+            GATE_EVENTS_TCP,
         );
     } else {
         println!("(no committed TCP trajectory with a {GATE_STATIONS}-station row; udp only)");
@@ -432,6 +457,7 @@ fn run_gate() -> ! {
                 srow_shards,
                 GATE_SIM_SECONDS,
                 srow.events_per_sec,
+                GATE_EVENTS_SHARDED,
             );
         }
     } else {

@@ -1,35 +1,36 @@
-//! A uniform spatial index over the transmissions currently on the air.
+//! The carrier-sense index over the transmissions currently on the air.
 //!
-//! The spatial medium's hot passes (carrier sense on every channel-access
-//! attempt, interference marking on every transmission) only care about
-//! active transmitters within a *provable* radius of a point — the
-//! conservative inversion of the path-loss model
-//! ([`crate::spatial::SpatialParams::range_for_threshold`]). This grid
-//! keeps the active set bucketed by position so those passes visit only
-//! the buckets a query disk overlaps, instead of every transmitter on the
-//! floor.
+//! Carrier sense asks, on every channel-access attempt, for the latest
+//! `end` among the active transmitters audible at the sensing station.
+//! [`SenseIndex`] answers that with one list walk: a uniform grid whose
+//! every cell keeps, sorted by `end` descending, each active transmission
+//! whose *insert-time* position lies within `reach` of some point in the
+//! cell. `reach` is the caller's certainly-inaudible radius, already
+//! padded by how far a transmitter can drift while its frame is on the
+//! air. The caller looks up the sensing station's cell, walks its list,
+//! and stops at the first entry its exact audibility check accepts: that
+//! entry carries the maximum `end` of everything audible.
 //!
-//! Exactness contract: the grid is a *candidate* filter, never a decision
-//! maker. Entries carry the transmitter's position at insert time; a
-//! station drifts while its frame is on the air, so every query radius
-//! must be padded by the caller's drift bound (mobility speed × maximum
-//! airtime) on top of the threshold radius. Callers then run the exact
-//! SNR check on each candidate — pruned transmitters provably fail it, so
-//! results are byte-identical to a full scan (pinned by the goldens and
-//! by `grid_and_sorted_sense_plans_are_result_identical` in
-//! `softrate-net::sim`).
+//! Exactness contract: the index is a *candidate* filter, never a
+//! decision maker.
+//! - Coverage. An insert at `p` lands in every cell of
+//!   `[axis(p.x − reach), axis(p.x + reach)] × [axis(p.y − reach),
+//!   axis(p.y + reach)]`, where `axis` is the clamped, monotone cell index.
+//!   A query point `q` with `dist2(p, q) < reach²` has `|q.x − p.x| <
+//!   reach` (and the same in `y`) even in floating point, so its own cell
+//!   lies in that range — including points outside the floor, which clamp
+//!   to an edge cell exactly as the range bounds do.
+//! - Order. Each list is end-descending (ties keep insertion order), so
+//!   the first accepted entry carries the maximal `end`; entries outside
+//!   `reach` that share the cell are rejected by the caller's check.
 //!
-//! Cell sizing: cells are square with side ≈ the largest query radius
-//! (clamped to at least 1 m and to at most [`MAX_CELLS`] total), so a
-//! disk query touches at most ~9 buckets. Small active sets skip the
-//! bucket walk entirely and scan a flat mirror of the entries — cheaper
-//! than touching even a handful of empty buckets.
+//! Sizing: cells are squares of side `reach`, doubled until the floor
+//! needs at most [`MAX_CELLS`] of them. When the sensing disk covers a
+//! quarter of the floor or more (`π·reach²·4 ≥ area`) a grid buys
+//! nothing, and the index is a single cell that the lookup returns
+//! without computing a cell index from the query position.
 
 use crate::geometry::{Point, Rect};
-
-/// Bucket walks are skipped below this many active entries (a flat scan
-/// of so few entries is cheaper than visiting empty buckets).
-const LINEAR_CUTOFF: usize = 8;
 
 /// Upper bound on `cols × rows` (caps memory for huge, sparse floors).
 const MAX_CELLS: usize = 4096;
@@ -46,120 +47,116 @@ pub struct TxEntry {
     pub end: f64,
 }
 
-/// A uniform grid of the active transmitter set.
+/// Per-cell end-descending lists of the active transmissions within
+/// `reach` of each cell.
 #[derive(Debug)]
-pub struct ActiveGrid {
+pub struct SenseIndex {
     origin: Point,
-    /// Square cell side, meters.
-    cell: f64,
+    /// Reciprocal of the square cell side, 1/meters (unused by a
+    /// single-cell index).
+    inv_cell: f64,
     cols: usize,
     rows: usize,
+    reach: f64,
     cells: Vec<Vec<TxEntry>>,
-    /// Flat mirror of every entry, for small-set linear scans.
-    all: Vec<TxEntry>,
 }
 
-impl ActiveGrid {
-    /// A grid over `bounds` sized for query disks of radius `radius_hint`
-    /// meters (the largest threshold radius the caller will query).
-    pub fn new(bounds: Rect, radius_hint: f64) -> Self {
-        let width = bounds.width().max(1e-9);
-        let height = bounds.height().max(1e-9);
-        let mut cell = radius_hint.clamp(1.0, width.max(height));
-        let dims = |cell: f64| {
-            let cols = (width / cell).ceil().max(1.0) as usize;
-            let rows = (height / cell).ceil().max(1.0) as usize;
-            (cols, rows)
-        };
-        let (mut cols, mut rows) = dims(cell);
-        while cols * rows > MAX_CELLS {
-            cell *= 2.0;
-            (cols, rows) = dims(cell);
+impl SenseIndex {
+    /// An index over `bounds` for entries audible out to `reach` meters
+    /// of their insert-time position.
+    pub fn new(bounds: Rect, reach: f64) -> Self {
+        let (width, height) = (bounds.width(), bounds.height());
+        let (mut cell, mut cols, mut rows) = (reach, 1, 1);
+        // A zero or NaN `reach` lands on the single cell.
+        if reach > 0.0 && std::f64::consts::PI * reach * reach * 4.0 < width * height {
+            // Counted in f64: a tiny `reach` would overflow `cols * rows`.
+            let dims = |cell: f64| {
+                (
+                    (width / cell).ceil().max(1.0),
+                    (height / cell).ceil().max(1.0),
+                )
+            };
+            let (mut c, mut r) = dims(cell);
+            while c * r > MAX_CELLS as f64 {
+                cell *= 2.0;
+                (c, r) = dims(cell);
+            }
+            (cols, rows) = (c as usize, r as usize);
         }
-        ActiveGrid {
+        SenseIndex {
             origin: bounds.min,
-            cell,
+            inv_cell: 1.0 / cell,
             cols,
             rows,
+            reach,
             cells: (0..cols * rows).map(|_| Vec::new()).collect(),
-            all: Vec::new(),
         }
     }
 
-    /// Number of active entries.
-    pub fn len(&self) -> usize {
-        self.all.len()
+    /// The clamped cell index along one axis. Rounded subtraction and
+    /// multiplication are monotone, and the saturating cast is the floor
+    /// for non-negative values and 0 for negative or NaN ones, so the
+    /// index is monotone in `coord` — with no division or libm `floor`
+    /// on the lookup path.
+    fn axis(&self, coord: f64, origin: f64, n: usize) -> usize {
+        (((coord - origin) * self.inv_cell) as usize).min(n - 1)
     }
 
-    /// Whether no transmission is on the air.
-    pub fn is_empty(&self) -> bool {
-        self.all.is_empty()
+    /// The cells an entry inserted at `p` covers: `(x0, x1, y0, y1)`,
+    /// inclusive.
+    fn cover(&self, p: Point) -> (usize, usize, usize, usize) {
+        if self.cells.len() == 1 {
+            return (0, 0, 0, 0);
+        }
+        let (o, r) = (self.origin, self.reach);
+        (
+            self.axis(p.x - r, o.x, self.cols),
+            self.axis(p.x + r, o.x, self.cols),
+            self.axis(p.y - r, o.y, self.rows),
+            self.axis(p.y + r, o.y, self.rows),
+        )
     }
 
-    /// The cell side the grid settled on, meters.
-    pub fn cell_m(&self) -> f64 {
-        self.cell
-    }
-
-    fn axis_index(&self, coord: f64, origin: f64, n: usize) -> usize {
-        let i = ((coord - origin) / self.cell).floor();
-        (i.max(0.0) as usize).min(n - 1)
-    }
-
-    fn cell_of(&self, p: Point) -> usize {
-        let cx = self.axis_index(p.x, self.origin.x, self.cols);
-        let cy = self.axis_index(p.y, self.origin.y, self.rows);
-        cy * self.cols + cx
-    }
-
-    /// Records a transmission starting at `pos`.
+    /// Records a transmission starting at `entry.pos`.
     pub fn insert(&mut self, entry: TxEntry) {
-        let c = self.cell_of(entry.pos);
-        self.cells[c].push(entry);
-        self.all.push(entry);
+        let (x0, x1, y0, y1) = self.cover(entry.pos);
+        for cy in y0..=y1 {
+            for list in &mut self.cells[cy * self.cols + x0..=cy * self.cols + x1] {
+                let at = list.partition_point(|e| e.end >= entry.end);
+                list.insert(at, entry);
+            }
+        }
     }
 
     /// Drops `sender`'s transmission (inserted at `pos`).
     pub fn remove(&mut self, sender: usize, pos: Point) {
-        let c = self.cell_of(pos);
-        if let Some(i) = self.cells[c].iter().position(|e| e.sender == sender) {
-            self.cells[c].swap_remove(i);
-        }
-        if let Some(i) = self.all.iter().position(|e| e.sender == sender) {
-            self.all.swap_remove(i);
+        let (x0, x1, y0, y1) = self.cover(pos);
+        for cy in y0..=y1 {
+            for list in &mut self.cells[cy * self.cols + x0..=cy * self.cols + x1] {
+                if let Some(i) = list.iter().position(|e| e.sender == sender) {
+                    list.remove(i);
+                }
+            }
         }
     }
 
-    /// Visits every entry whose *insert-time* position lies within
-    /// `radius` of `center` — plus possibly a few just outside (cell
-    /// granularity); never fewer. Callers fold their drift bound into
-    /// `radius` and run the exact check per candidate. Visit order is
-    /// unspecified; callers must accumulate order-insensitively (min /
-    /// max / any), which every fast-path consumer does.
-    pub fn for_each_in_disk(&self, center: Point, radius: f64, mut f: impl FnMut(&TxEntry)) {
-        if self.all.len() <= LINEAR_CUTOFF {
-            let r2 = radius * radius;
-            for e in &self.all {
-                if dist2(e.pos, center) <= r2 {
-                    f(e);
-                }
-            }
-            return;
-        }
-        let ix0 = self.axis_index(center.x - radius, self.origin.x, self.cols);
-        let ix1 = self.axis_index(center.x + radius, self.origin.x, self.cols);
-        let iy0 = self.axis_index(center.y - radius, self.origin.y, self.rows);
-        let iy1 = self.axis_index(center.y + radius, self.origin.y, self.rows);
-        let r2 = radius * radius;
-        for iy in iy0..=iy1 {
-            for ix in ix0..=ix1 {
-                for e in &self.cells[iy * self.cols + ix] {
-                    if dist2(e.pos, center) <= r2 {
-                        f(e);
-                    }
-                }
-            }
-        }
+    /// The end-descending candidates for a station sensing at `q`: a
+    /// superset of the entries whose insert-time position lies within
+    /// `reach` of `q`. A single-cell index answers without reading `q`.
+    #[inline]
+    pub fn list_at(&self, q: Point) -> &[TxEntry] {
+        let c = if self.cells.len() == 1 {
+            0
+        } else {
+            self.axis(q.y, self.origin.y, self.rows) * self.cols
+                + self.axis(q.x, self.origin.x, self.cols)
+        };
+        &self.cells[c]
+    }
+
+    /// Every cell's list, row-major.
+    pub fn lists(&self) -> impl Iterator<Item = &[TxEntry]> {
+        self.cells.iter().map(Vec::as_slice)
     }
 }
 
@@ -182,83 +179,95 @@ mod tests {
         }
     }
 
-    fn entry(sender: usize, x: f64, y: f64) -> TxEntry {
+    fn entry(sender: usize, x: f64, y: f64, end: f64) -> TxEntry {
         TxEntry {
             sender,
             pos: Point { x, y },
-            end: sender as f64,
+            end,
         }
     }
 
-    fn collect_disk(g: &ActiveGrid, center: Point, r: f64) -> Vec<usize> {
-        let mut got = Vec::new();
-        g.for_each_in_disk(center, r, |e| got.push(e.sender));
-        got.sort_unstable();
-        got
+    fn senders(idx: &SenseIndex, q: Point) -> Vec<usize> {
+        idx.list_at(q).iter().map(|e| e.sender).collect()
     }
 
     #[test]
-    fn disk_query_is_a_superset_of_the_exact_disk_and_exact_on_distance() {
-        let mut g = ActiveGrid::new(bounds(), 15.0);
-        for (s, x, y) in [(0, 0.0, 0.0), (1, 30.0, 0.0), (2, 80.0, 30.0)] {
-            g.insert(entry(s, x, y));
-        }
-        // Radius 31 around the origin: senders 0 and 1 are inside, 2 far.
-        let got = collect_disk(&g, Point { x: 0.0, y: 0.0 }, 31.0);
-        assert!(got.contains(&0) && got.contains(&1));
-        assert!(!got.contains(&2), "85+ m away cannot appear at r=31");
-    }
-
-    #[test]
-    fn bucket_and_linear_paths_agree() {
-        // Push past LINEAR_CUTOFF so the bucket walk engages, then compare
-        // against a brute-force filter at several centers and radii.
-        let mut g = ActiveGrid::new(bounds(), 12.0);
-        let mut pts = Vec::new();
+    fn lists_cover_the_reach_disk_and_run_end_descending() {
+        let mut idx = SenseIndex::new(bounds(), 12.0);
+        assert!(
+            idx.cells.len() > 1,
+            "a 12 m reach on a 100x50 m floor is a grid"
+        );
         let mut u = crate::stream::SplitMix64::new(7);
+        let mut all = Vec::new();
         for s in 0..40 {
             let p = bounds().lerp(u.next_f64(), u.next_f64());
-            pts.push((s, p));
-            g.insert(TxEntry {
+            // Few distinct ends, so ties are common.
+            let e = TxEntry {
                 sender: s,
                 pos: p,
-                end: 0.0,
-            });
+                end: (u.next_f64() * 4.0).floor(),
+            };
+            idx.insert(e);
+            all.push(e);
         }
-        assert!(g.len() > LINEAR_CUTOFF);
-        for (cx, cy, r) in [(0.0, 0.0, 20.0), (45.0, 15.0, 13.0), (88.0, 38.0, 5.0)] {
-            let center = Point { x: cx, y: cy };
-            let got = collect_disk(&g, center, r);
-            let want: Vec<usize> = pts
-                .iter()
-                .filter(|(_, p)| dist2(*p, center) <= r * r)
-                .map(|(s, _)| *s)
-                .collect();
-            for s in &want {
-                assert!(got.contains(s), "in-disk sender {s} must be visited");
+        for (cx, cy) in [(0.0, 0.0), (45.0, 15.0), (88.0, 38.0), (-500.0, 300.0)] {
+            let q = Point { x: cx, y: cy };
+            let got = senders(&idx, q);
+            for e in &all {
+                if dist2(e.pos, q) < 12.0 * 12.0 {
+                    assert!(
+                        got.contains(&e.sender),
+                        "in-reach sender {} missing",
+                        e.sender
+                    );
+                }
             }
-            for s in &got {
-                assert!(
-                    dist2(pts[*s].1, center) <= r * r,
-                    "distance filter is exact"
-                );
-            }
+        }
+        for list in idx.lists() {
+            assert!(list.windows(2).all(|w| w[0].end >= w[1].end));
         }
     }
 
     #[test]
-    fn remove_clears_both_views() {
-        let mut g = ActiveGrid::new(bounds(), 10.0);
-        let e = entry(3, 5.0, 5.0);
-        g.insert(e);
-        assert_eq!(g.len(), 1);
-        g.remove(3, e.pos);
-        assert!(g.is_empty());
-        assert!(collect_disk(&g, e.pos, 50.0).is_empty());
+    fn equal_ends_keep_insertion_order() {
+        let mut idx = SenseIndex::new(bounds(), 1e3);
+        for (s, end) in [(0, 1.0), (1, 2.0), (2, 1.0), (3, 2.0)] {
+            idx.insert(entry(s, 0.0, 0.0, end));
+        }
+        assert_eq!(senders(&idx, Point { x: 5.0, y: 5.0 }), vec![1, 3, 0, 2]);
     }
 
     #[test]
-    fn cell_count_is_capped_for_huge_floors() {
+    fn remove_clears_every_covered_cell() {
+        let mut idx = SenseIndex::new(bounds(), 10.0);
+        let e = entry(3, 5.0, 5.0, 1.0);
+        idx.insert(e);
+        assert!(idx.lists().filter(|l| !l.is_empty()).count() > 1);
+        idx.remove(3, e.pos);
+        assert!(idx.lists().all(|l| l.is_empty()));
+    }
+
+    #[test]
+    fn a_disk_covering_a_quarter_of_the_floor_is_one_cell() {
+        // π·30²·4 ≈ 11,310 m² ≥ the 5,000 m² floor.
+        let mut idx = SenseIndex::new(bounds(), 30.0);
+        assert_eq!(idx.cells.len(), 1);
+        idx.insert(entry(0, -10.0, -10.0, 1.0));
+        assert_eq!(
+            senders(
+                &idx,
+                Point {
+                    x: 1e9,
+                    y: f64::NAN
+                }
+            ),
+            vec![0]
+        );
+    }
+
+    #[test]
+    fn sizing_never_panics_and_caps_the_cell_count() {
         let huge = Rect {
             min: Point { x: 0.0, y: 0.0 },
             max: Point {
@@ -266,25 +275,22 @@ mod tests {
                 y: 100_000.0,
             },
         };
-        let g = ActiveGrid::new(huge, 1.0);
-        assert!(g.cols * g.rows <= MAX_CELLS);
-        assert!(g.cell_m() >= 1.0);
-    }
-
-    #[test]
-    fn queries_at_the_walls_stay_in_range() {
-        let mut g = ActiveGrid::new(bounds(), 10.0);
-        g.insert(entry(0, -10.0, -10.0));
-        g.insert(entry(1, 90.0, 40.0));
-        // Centers outside the bounds clamp to edge cells without panicking.
-        let got = collect_disk(
-            &g,
-            Point {
-                x: -500.0,
-                y: -500.0,
-            },
-            1000.0,
-        );
-        assert_eq!(got, vec![0, 1]);
+        let tiny = Rect {
+            min: Point { x: 0.0, y: 0.0 },
+            max: Point { x: 0.5, y: 0.5 },
+        };
+        for (b, reach) in [
+            (tiny, 0.0),
+            (huge, 1.0),
+            (huge, 1e-9),
+            (tiny, 1e-9),
+            (tiny, 2.0),
+            (tiny, f64::NAN),
+        ] {
+            let mut idx = SenseIndex::new(b, reach);
+            assert!(idx.cols * idx.rows <= MAX_CELLS);
+            idx.insert(entry(0, 0.25, 0.25, 1.0));
+            assert_eq!(senders(&idx, Point { x: 0.25, y: 0.25 }), vec![0]);
+        }
     }
 }

@@ -12,8 +12,8 @@
 //! * [`stream`] — SplitMix64, the per-link deterministic coin stream.
 //! * [`channel`] — [`channel::StreamingLink`]: Jakes fading + the
 //!   calibrated analytic SNR→BER map, sampled at transmit time.
-//! * [`grid`] — the uniform spatial index over active transmitters that
-//!   the fast path prunes carrier-sense/interference candidates with.
+//! * [`grid`] — the carrier-sense index: per-cell end-descending lists
+//!   of the active transmitters that could be audible in each cell.
 //! * [`spatial`] — the `[topology.spatial]` specification and its resolved
 //!   parameters (grid, thresholds, roaming policy).
 //! * [`sim`] — the multi-cell simulator: the shared

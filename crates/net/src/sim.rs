@@ -55,7 +55,7 @@ use softrate_trace::schema::{hash_uniform, FrameFate};
 
 use crate::channel::{fate_from_draw_memo, StreamingLink};
 use crate::geometry::Point;
-use crate::grid::{dist2, ActiveGrid, TxEntry};
+use crate::grid::{dist2, SenseIndex, TxEntry};
 use crate::mobility::MobilityWalker;
 use crate::spatial::{HandoffPolicy, SpatialError, SpatialParams, SpatialSpec};
 use crate::stream::mix_seed;
@@ -386,11 +386,74 @@ impl TransportHost for SpatialHost<'_> {
     }
 }
 
+/// Squared-distance bands for the sensing threshold, so carrier sense
+/// classifies a candidate without the path-loss expression almost always.
+#[derive(Debug, Clone, Copy)]
+struct SenseBands {
+    /// Certainly-audible / certainly-inaudible radii squared
+    /// (`range_band(sense_snr_db)`), against a current position: the
+    /// exact expression runs only in the vanishing band between them.
+    lo2: f64,
+    hi2: f64,
+    /// The same bands widened by the drift pad, valid against a
+    /// transmitter's *insert-time* position: inside `lo_ins2` it is
+    /// audible wherever it drifted to; outside `hi_ins2` it is inaudible
+    /// wherever it drifted to. Between them the current position decides
+    /// (a band a few centimeters wide — almost never entered).
+    lo_ins2: f64,
+    hi_ins2: f64,
+}
+
+impl SenseBands {
+    /// Whether the transmission behind `e` is audible at `pos` — the
+    /// identical verdict to `snr_between(current tx position, pos) >=
+    /// sense_snr_db`. `tx_pos` supplies the current position and runs
+    /// only inside the insert-position band.
+    #[inline]
+    fn audible(
+        &self,
+        params: &SpatialParams,
+        e: &TxEntry,
+        pos: Point,
+        tx_pos: impl FnOnce() -> Point,
+    ) -> bool {
+        let d2_ins = dist2(e.pos, pos);
+        if d2_ins <= self.lo_ins2 {
+            return true;
+        }
+        if d2_ins >= self.hi_ins2 {
+            return false;
+        }
+        let tpos = tx_pos();
+        let d2 = dist2(tpos, pos);
+        d2 <= self.lo2 || (d2 < self.hi2 && params.snr_between(tpos, pos) >= params.sense_snr_db)
+    }
+}
+
+/// Position of station `st` at `t` through the per-station `(t bits,
+/// position)` memo over its resumable walker.
+fn memo_pos(
+    pos_cache: &mut [(u64, Point)],
+    walkers: &mut [MobilityWalker],
+    params: &SpatialParams,
+    st: usize,
+    t: f64,
+) -> Point {
+    let bits = t.to_bits();
+    let (cached, p) = pos_cache[st];
+    if cached == bits {
+        return p;
+    }
+    let p = walkers[st].position(&params.mobility, &params.bounds, t);
+    pos_cache[st] = (bits, p);
+    p
+}
+
 /// The multi-cell geometric environment with streaming channels.
 ///
 /// Its hot passes run on an exact-semantics fast path (DESIGN.md §7):
 /// conservative pruning radii inverted from the path-loss model, a
-/// uniform grid over active transmitters, and per-event memo caches for
+/// carrier-sense index over active transmitters, and per-event memo caches for
 /// positions, station→AP SNRs, and fading envelopes. Every skipped
 /// candidate provably fails the exact check it skipped, and every cache
 /// hit returns the bit-identical value a fresh evaluation would — the
@@ -403,35 +466,14 @@ struct SpatialMedium {
     walkers: Vec<MobilityWalker>,
     /// `Flows`-mode state; `None` on the saturated-uplink fast path.
     flows: Option<FlowNet>,
-    /// Active transmitters bucketed by transmit-start position.
-    grid: ActiveGrid,
-    /// Conservative (padded) radius beyond which a transmitter cannot be
-    /// sensed: `range_for_threshold(sense_snr_db)`.
-    sense_radius_m: f64,
-    /// Squared certainly-audible / certainly-inaudible radii for the
-    /// sensing threshold (`range_band(sense_snr_db)`): the sense loop
-    /// classifies by squared distance and only evaluates the exact
-    /// path-loss expression inside the vanishing band between them.
-    sense_lo2: f64,
-    sense_hi2: f64,
-    /// The same bands widened by the drift pad, valid against a
-    /// transmitter's *insert-time* position: inside `sense_lo_ins2` the
-    /// transmitter is audible wherever it drifted to; outside
-    /// `sense_hi_ins2` it is inaudible wherever it drifted to. Between
-    /// them the current position decides (a band a few centimeters wide —
-    /// almost never entered).
-    sense_lo_ins2: f64,
-    sense_hi_ins2: f64,
-    /// Whether carrier sense walks grid buckets (large floors where the
-    /// sensing disk covers a small fraction of the area) or the
-    /// end-sorted active list (dense floors where most of the area is
-    /// audible anyway and the first audible hit ends the search). Both
-    /// paths visit a superset of the audible set and apply the identical
-    /// classification, so the choice is invisible in the results.
-    sense_via_grid: bool,
-    /// Active transmissions sorted by `end` descending (the first audible
-    /// entry in this order carries the defer-until maximum).
-    by_end: Vec<TxEntry>,
+    /// Active transmitters, listed end-descending per cell of every
+    /// transmit-start position within `sense_hi_ins` of the cell.
+    sense: SenseIndex,
+    /// Index entries carrier sense has examined (the host-independent
+    /// work count behind [`PhaseProfile::sense_candidates`]).
+    sense_candidates: u64,
+    /// The sensing threshold's squared-distance bands.
+    bands: SenseBands,
     /// Conservative radius beyond which interference is below the 0 dB
     /// noise floor: `range_for_threshold(0.0)`.
     interference_radius_m: f64,
@@ -461,8 +503,6 @@ struct SpatialMedium {
     coh_out: Vec<(f64, f64)>,
     /// The omniscient oracle as exact threshold compares.
     oracle: OracleBands,
-    /// Scratch: carrier-sense candidates (reused, allocation-free).
-    sense_scratch: Vec<TxEntry>,
     /// Positions of active-set mutations (insert/remove) since the last
     /// window barrier — the sharded scheduler's sense-invalidation feed.
     /// Empty and unmaintained (`log_muts` off) on sequential runs.
@@ -492,14 +532,7 @@ impl SpatialMedium {
     /// Position of station `st` at `t`: the per-event memo over the
     /// resumable walker (identical to `params.station_pos`).
     fn pos_at(&mut self, st: usize, t: f64) -> Point {
-        let bits = t.to_bits();
-        let (cached, p) = self.pos_cache[st];
-        if cached == bits {
-            return p;
-        }
-        let p = self.walkers[st].position(&self.params.mobility, &self.params.bounds, t);
-        self.pos_cache[st] = (bits, p);
-        p
+        memo_pos(&mut self.pos_cache, &mut self.walkers, &self.params, st, t)
     }
 
     /// Position of transmitter `sender` at `t`: a walking station, or a
@@ -561,28 +594,6 @@ impl SpatialMedium {
         station_of_port(self.params.n_stations, port)
     }
 
-    /// Whether the transmission behind `e` is audible at `pos` right now
-    /// — identical verdict to evaluating `snr_between(current tx
-    /// position, pos) >= sense_snr_db` directly. The insert-position
-    /// bands (drift-widened) settle almost every candidate without
-    /// touching its walker; the thin in-between band falls through to the
-    /// current position, and only its own guard band evaluates the exact
-    /// path-loss expression.
-    fn audible_at(&mut self, e: &TxEntry, pos: Point, now: f64) -> bool {
-        let d2_ins = dist2(e.pos, pos);
-        if d2_ins <= self.sense_lo_ins2 {
-            return true;
-        }
-        if d2_ins >= self.sense_hi_ins2 {
-            return false;
-        }
-        let tpos = self.tx_pos(e.sender, now);
-        let d2 = dist2(tpos, pos);
-        d2 <= self.sense_lo2
-            || (d2 < self.sense_hi2
-                && self.params.snr_between(tpos, pos) >= self.params.sense_snr_db)
-    }
-
     /// Transmitter position at `t` from *private* mobility cursors (the
     /// sharded scheduler's worker path). Walker positions are a pure
     /// function of `t` (pinned against `position_at` by tests), so a
@@ -596,69 +607,48 @@ impl SpatialMedium {
         }
     }
 
-    /// [`SpatialMedium::audible_at`] against private mobility cursors:
-    /// the identical band classification and exact fallthrough, memo-free.
-    fn audible_pure(
-        &self,
-        walkers: &mut [MobilityWalker],
-        e: &TxEntry,
-        pos: Point,
-        now: f64,
-    ) -> bool {
-        let d2_ins = dist2(e.pos, pos);
-        if d2_ins <= self.sense_lo_ins2 {
-            return true;
-        }
-        if d2_ins >= self.sense_hi_ins2 {
-            return false;
-        }
-        let tpos = self.walker_pos(walkers, e.sender, now);
-        let d2 = dist2(tpos, pos);
-        d2 <= self.sense_lo2
-            || (d2 < self.sense_hi2
-                && self.params.snr_between(tpos, pos) >= self.params.sense_snr_db)
+    /// Carrier sense over the sensing station's index list: entries run
+    /// end-descending, so the first audible one carries the maximal end
+    /// and the walk stops there.
+    fn sense_at(&mut self, sender: usize, pos: Point, now: f64) -> Option<f64> {
+        let SpatialMedium {
+            sense,
+            bands,
+            params,
+            pos_cache,
+            walkers,
+            sense_candidates,
+            ..
+        } = self;
+        let n = params.n_stations;
+        let list = sense.list_at(pos);
+        let hit = list.iter().position(|e| {
+            e.sender != sender
+                && bands.audible(params, e, pos, || match e.sender.checked_sub(n) {
+                    None => memo_pos(pos_cache, walkers, params, e.sender, now),
+                    Some(ap) => params.aps[ap],
+                })
+        });
+        *sense_candidates += hit.map_or(list.len(), |i| i + 1) as u64;
+        hit.map(|i| list[i].end)
     }
 
-    /// Carrier sense over the end-descending active list: the first
-    /// audible entry carries the maximal end time, so the scan stops
-    /// there. Dense floors resolve in ~1 candidate.
-    fn sense_sorted(&mut self, sender: usize, pos: Point, now: f64) -> Option<f64> {
-        for i in 0..self.by_end.len() {
-            let e = self.by_end[i];
-            if e.sender == sender {
-                continue;
-            }
-            if self.audible_at(&e, pos, now) {
-                return Some(e.end);
-            }
-        }
-        None
-    }
-
-    /// Carrier sense over the grid buckets intersecting the sensing disk:
-    /// large floors visit a small fraction of the active set. Candidates
-    /// that cannot raise the accumulated horizon are skipped before any
-    /// classification.
-    fn sense_via_buckets(&mut self, sender: usize, pos: Point, now: f64) -> Option<f64> {
-        let mut scratch = std::mem::take(&mut self.sense_scratch);
-        scratch.clear();
-        self.grid
-            .for_each_in_disk(pos, self.sense_radius_m + self.drift_pad_m, |e| {
-                if e.sender != sender {
-                    scratch.push(*e);
-                }
-            });
-        let mut sensed_until: Option<f64> = None;
-        for e in &scratch {
-            if sensed_until.is_some_and(|u| e.end <= u) {
-                continue;
-            }
-            if self.audible_at(e, pos, now) {
-                sensed_until = Some(sensed_until.map_or(e.end, |u: f64| u.max(e.end)));
-            }
-        }
-        self.sense_scratch = scratch;
-        sensed_until
+    /// The physics [`SpatialMedium::sense_at`] must reproduce, with none
+    /// of its pruning: the latest end over every foreign transmitter
+    /// whose current position is heard at or above the sensing threshold.
+    #[cfg(test)]
+    fn sense_by_scan(&self, core: &Core, sender: usize, now: f64) -> Option<f64> {
+        let p = &self.params;
+        let at = |s: usize| match s.checked_sub(p.n_stations) {
+            None => p.station_pos(self.cfg.seed, s, now),
+            Some(ap) => p.aps[ap],
+        };
+        let pos = at(sender);
+        core.active
+            .iter()
+            .filter(|tx| tx.sender != sender && p.snr_between(at(tx.sender), pos) >= p.sense_snr_db)
+            .map(|tx| tx.end)
+            .reduce(f64::max)
     }
 
     fn make_adapter(&self, st: usize) -> Box<dyn RateAdapter> {
@@ -1172,11 +1162,14 @@ impl Medium for SpatialMedium {
         }
         let now = core.now();
         let pos = self.tx_pos(sender, now);
-        if self.sense_via_grid {
-            self.sense_via_buckets(sender, pos, now)
-        } else {
-            self.sense_sorted(sender, pos, now)
-        }
+        let sensed = self.sense_at(sender, pos, now);
+        #[cfg(test)]
+        assert_eq!(
+            sensed,
+            self.sense_by_scan(core, sender, now),
+            "sender {sender} at t={now}: the sense index disagrees with a full scan"
+        );
+        sensed
     }
 
     fn begin_attempt(
@@ -1298,20 +1291,7 @@ impl Medium for SpatialMedium {
         if self.log_muts {
             self.mut_log.push((entry.pos.x, entry.pos.y));
         }
-        // Only the plan carrier sense consults is maintained (the choice
-        // is fixed at construction).
-        if self.sense_via_grid {
-            self.grid.insert(entry);
-        } else {
-            // Keep `by_end` sorted by end descending (ties keep insertion
-            // order; the active set is small, so the shift is trivial).
-            let at = self
-                .by_end
-                .iter()
-                .position(|e| e.end < entry.end)
-                .unwrap_or(self.by_end.len());
-            self.by_end.insert(at, entry);
-        }
+        self.sense.insert(entry);
         if tx.use_rts {
             return;
         }
@@ -1396,17 +1376,13 @@ impl Medium for SpatialMedium {
         self.ap_near = ap_near;
     }
 
-    /// The transmission left the air: drop it from both indices.
+    /// The transmission left the air: drop it from the sense index.
     fn on_air_end(&mut self, tx: &ActiveTx<SpatialTx>) {
         if self.log_muts {
             self.mut_log
                 .push((tx.info.start_pos.x, tx.info.start_pos.y));
         }
-        if self.sense_via_grid {
-            self.grid.remove(tx.sender, tx.info.start_pos);
-        } else if let Some(i) = self.by_end.iter().position(|e| e.sender == tx.sender) {
-            self.by_end.remove(i);
-        }
+        self.sense.remove(tx.sender, tx.info.start_pos);
     }
 
     /// Interference-free fate from the streaming channel — one coin draw
@@ -1726,11 +1702,9 @@ fn station_of_port(n: usize, port: usize) -> usize {
 
 /// Per-worker carrier-sense scratch for the sharded scheduler: private
 /// mobility cursors (one full set per domain — positions are pure in `t`,
-/// so private cursors agree bit-for-bit with the medium's) plus a reused
-/// candidate buffer mirroring `sense_scratch`.
+/// so private cursors agree bit-for-bit with the medium's).
 struct SpatialSenseScratch {
     walkers: Vec<MobilityWalker>,
-    cand: Vec<TxEntry>,
 }
 
 impl ShardableMedium for SpatialMedium {
@@ -1739,7 +1713,6 @@ impl ShardableMedium for SpatialMedium {
     fn make_scratch(&self) -> SpatialSenseScratch {
         SpatialSenseScratch {
             walkers: self.walkers.clone(),
-            cand: Vec::new(),
         }
     }
 
@@ -1764,63 +1737,38 @@ impl ShardableMedium for SpatialMedium {
     }
 
     /// [`Medium::carrier_sense`] evaluated from worker threads against the
-    /// frozen window-start active set: same emptiness fast path (the
-    /// sense indices' population equals `core.active`'s), same plan, same
-    /// candidate order, same band classification — via private cursors
-    /// instead of the `&mut self` memos.
+    /// frozen window-start active set: the same index list in the same
+    /// order, the same band classification — via private cursors instead
+    /// of the `&mut self` memos.
     fn sense_pure(
         &self,
         scratch: &mut SpatialSenseScratch,
         sender: usize,
         t: f64,
     ) -> (Option<f64>, (f64, f64)) {
-        let SpatialSenseScratch { walkers, cand } = scratch;
+        let walkers = &mut scratch.walkers;
         let pos = self.walker_pos(walkers, sender, t);
-        let sensed = if self.sense_via_grid {
-            if self.grid.is_empty() {
-                None
-            } else {
-                cand.clear();
-                self.grid
-                    .for_each_in_disk(pos, self.sense_radius_m + self.drift_pad_m, |e| {
-                        if e.sender != sender {
-                            cand.push(*e);
-                        }
-                    });
-                let mut sensed_until: Option<f64> = None;
-                for e in cand.iter() {
-                    if sensed_until.is_some_and(|u| e.end <= u) {
-                        continue;
-                    }
-                    if self.audible_pure(walkers, e, pos, t) {
-                        sensed_until = Some(sensed_until.map_or(e.end, |u: f64| u.max(e.end)));
-                    }
-                }
-                sensed_until
-            }
-        } else {
-            let mut sensed = None;
-            for e in &self.by_end {
-                if e.sender == sender {
-                    continue;
-                }
-                if self.audible_pure(walkers, e, pos, t) {
-                    sensed = Some(e.end);
-                    break;
-                }
-            }
-            sensed
-        };
+        let sensed = self
+            .sense
+            .list_at(pos)
+            .iter()
+            .find(|e| {
+                e.sender != sender
+                    && self.bands.audible(&self.params, e, pos, || {
+                        self.walker_pos(walkers, e.sender, t)
+                    })
+            })
+            .map(|e| e.end);
         (sensed, (pos.x, pos.y))
     }
 
     /// An active-set mutation beyond the drift-widened certainly-inaudible
-    /// radius of the sensing position cannot flip any `audible_at` verdict
+    /// radius of the sensing position cannot flip any audibility verdict
     /// (inserted entry: certainly inaudible; removed entry: was certainly
     /// inaudible, so dropping it changes nothing), hence cannot change the
     /// sensed max-end either.
     fn inval_radius2(&self) -> f64 {
-        self.sense_hi_ins2
+        self.bands.hi_ins2
     }
 
     fn mutations(&self) -> &[(f64, f64)] {
@@ -1924,14 +1872,12 @@ impl SpatialSim {
         };
         let sense_hi2 = sense_radius_m * sense_radius_m;
         let interference_radius_m = params.range_for_threshold(0.0);
-        let area = params.bounds.width() * params.bounds.height();
         let max_airtime: f64 = softrate_phy::rates::PAPER_RATES
             .iter()
             .map(|&r| data_airtime(r, cfg.payload_bytes, cfg.adapter.postambles()))
             .fold(0.0, f64::max)
             + rts_cts_overhead();
         let drift_pad_m = params.mobility.speed_mps() * max_airtime * (1.0 + 1e-9) + 1e-9;
-        let grid = ActiveGrid::new(params.bounds, sense_radius_m + drift_pad_m);
         let sense_lo_ins = sense_lo - drift_pad_m;
         let sense_lo_ins2 = if sense_lo_ins < 0.0 {
             -1.0
@@ -1939,10 +1885,6 @@ impl SpatialSim {
             sense_lo_ins * sense_lo_ins
         };
         let sense_hi_ins = sense_radius_m + drift_pad_m;
-        // Bucket walks pay off when the sensing disk covers a small
-        // fraction of the floor; on dense floors the end-sorted scan's
-        // first-hit exit wins. Either plan classifies identically.
-        let sense_via_grid = std::f64::consts::PI * sense_hi_ins * sense_hi_ins * 4.0 < area;
         // An all-`None` `[faults]` table lowers to no state at all, so an
         // empty table is provably identical to no table (pinned by test).
         let faults = cfg.faults.filter(|f| !f.is_noop()).map(|f| {
@@ -1968,14 +1910,14 @@ impl SpatialSim {
             stations: Vec::with_capacity(n),
             walkers,
             flows: None,
-            grid,
-            sense_radius_m,
-            sense_lo2,
-            sense_hi2,
-            sense_lo_ins2,
-            sense_hi_ins2: sense_hi_ins * sense_hi_ins,
-            sense_via_grid,
-            by_end: Vec::new(),
+            sense: SenseIndex::new(params.bounds, sense_hi_ins),
+            sense_candidates: 0,
+            bands: SenseBands {
+                lo2: sense_lo2,
+                hi2: sense_hi2,
+                lo_ins2: sense_lo_ins2,
+                hi_ins2: sense_hi_ins * sense_hi_ins,
+            },
             interference_radius_m,
             drift_pad_m,
             pos_cache: vec![(NO_TIME, Point { x: 0.0, y: 0.0 }); n],
@@ -1988,7 +1930,6 @@ impl SpatialSim {
             coh_bits: Vec::new(),
             coh_out: Vec::new(),
             oracle: OracleBands::new(cfg.frame_bits()),
-            sense_scratch: Vec::new(),
             mut_log: Vec::new(),
             log_muts: false,
             ap_near: Vec::with_capacity(n_aps),
@@ -2079,11 +2020,12 @@ impl SpatialSim {
     pub fn run_profiled(mut self) -> (RunReport, PhaseProfile) {
         let duration = self.engine.medium.cfg.duration;
         let shards = self.engine.medium.cfg.shards;
-        let profile = if shards > 1 {
+        let mut profile = if shards > 1 {
             self.engine.run_profiled_sharded(duration, shards)
         } else {
             self.engine.run_profiled(duration)
         };
+        profile.sense_candidates = self.engine.medium.sense_candidates;
         (self.report(), profile)
     }
 
@@ -2415,46 +2357,55 @@ mod tests {
         );
     }
 
-    /// The fast path's two carrier-sense plans (grid buckets vs the
-    /// end-sorted scan) must be indistinguishable in every output — they
-    /// visit different candidate supersets but apply the identical
-    /// classification. Forcing each plan over the same deployment pins
-    /// that, complementing the byte-identical goldens (which pin the fast
-    /// path against the pre-optimization engine).
+    /// A floor under a metre across: the sense index must size its cells
+    /// without a panicking clamp.
     #[test]
-    fn grid_and_sorted_sense_plans_are_result_identical() {
-        let mk = || {
-            let mut spec = small_spec(3, 40.0, 24);
-            spec.mobility = MobilitySpec::RandomWaypoint {
-                speed_mps: 3.0,
-                pause_s: 0.5,
-            };
-            spec.sense_snr_db = Some(20.0); // short sensing range: both plans plausible
-            spec.roaming = Some(RoamingSpec {
-                hysteresis_db: 2.0,
-                check_interval_s: None,
-                handoff: HandoffPolicy::Preserve,
-            });
-            let mut cfg = SpatialConfig::new(AdapterKind::SoftRate, spec);
-            cfg.duration = 3.0;
-            cfg
+    fn sub_metre_floor_runs() {
+        let mut cfg = SpatialConfig::new(AdapterKind::Fixed(2), small_spec(1, 0.5, 4));
+        cfg.duration = 0.5;
+        let r = run(cfg);
+        assert!(r.frames_delivered > 0);
+    }
+
+    /// A sensing threshold above the reference SNR: nothing is ever
+    /// audible, so the sensing reach collapses to the drift pad and every
+    /// station transmits into the others.
+    #[test]
+    fn sensing_above_the_reference_snr_runs_deaf() {
+        let mut spec = small_spec(2, 20.0, 8);
+        spec.sense_snr_db = Some(60.0); // the reference SNR defaults to 55 dB
+        spec.mobility = MobilitySpec::RandomWaypoint {
+            speed_mps: 3.0,
+            pause_s: 0.0,
         };
-        let forced = |via_grid: bool| {
-            let mut sim = SpatialSim::new(mk()).expect("valid spec");
-            sim.engine.medium.sense_via_grid = via_grid;
-            sim.run()
+        let mut cfg = SpatialConfig::new(AdapterKind::Fixed(2), spec);
+        cfg.duration = 0.5;
+        let (r, p) = SpatialSim::new(cfg).expect("valid spec").run_profiled();
+        assert_eq!(p.deferrals, 0, "nothing is audible");
+        assert!(r.collisions > 0);
+    }
+
+    /// The carrier-sense work count on a small fixed deployment, pinned
+    /// exactly: a pruning regression shows up here without a clock.
+    #[test]
+    fn sense_candidates_are_pinned_on_a_fixed_deployment() {
+        let mut spec = small_spec(3, 40.0, 24);
+        spec.sense_snr_db = Some(25.0); // a ~13 m sensing disk: a multi-cell index
+        spec.mobility = MobilitySpec::RandomWaypoint {
+            speed_mps: 3.0,
+            pause_s: 0.5,
         };
-        let g = forced(true);
-        let s = forced(false);
-        assert_eq!(g.aggregate_goodput_bps, s.aggregate_goodput_bps);
-        assert_eq!(g.per_flow_goodput_bps, s.per_flow_goodput_bps);
-        assert_eq!(g.frames_sent, s.frames_sent);
-        assert_eq!(g.frames_delivered, s.frames_delivered);
-        assert_eq!(g.collisions, s.collisions);
-        assert_eq!(g.silent_losses, s.silent_losses);
-        assert_eq!(g.inter_cell_corruptions, s.inter_cell_corruptions);
-        assert_eq!(g.handoff_log, s.handoff_log);
-        assert_eq!(g.events_processed, s.events_processed);
+        let mut cfg = SpatialConfig::new(AdapterKind::SoftRate, spec);
+        cfg.duration = 1.0;
+        let (r, p) = SpatialSim::new(cfg).expect("valid spec").run_profiled();
+        assert_eq!(
+            (
+                r.events_processed,
+                p.deferrals + p.transmissions,
+                p.sense_candidates
+            ),
+            (22_148, 9_459, 12_307)
+        );
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Shard-invariance regression at city-rung shape: a floor large enough
-//! that carrier sense runs the *grid-bucket* plan (the 3x3 suites all
-//! take the end-sorted plan), with the compressed kickoff stagger and
-//! the default roam interval of the netscale city rungs.
+//! that the carrier-sense index is a multi-cell grid (on the 3x3 suites'
+//! floors it is a single cell), with the compressed kickoff stagger and
+//! the default roam interval of the netscale city rungs. The sequential
+//! run's outputs are pinned absolutely, so large-floor sensing cannot
+//! drift even where every shard count drifts together.
 //!
 //! Pins the exact-horizon routing bug found on the 10k rung: the 0.25 s
 //! roam waves put a near event every 25 µs, so `horizon = next + 1e-4`
@@ -48,6 +50,13 @@ fn grid_plan_city_rung_is_shard_invariant() {
         SpatialSim::new(cfg).expect("valid").run()
     };
     let seq = run(1);
+    assert_eq!(seq.events_processed, 20_399_886);
+    assert_eq!(seq.frames_sent, 79_007);
+    assert_eq!(seq.frames_delivered, 73_740);
+    assert_eq!(seq.collisions, 3_409);
+    assert_eq!(seq.inter_cell_corruptions, 5_421);
+    assert_eq!(seq.handoff_log.len(), 182);
+    assert_eq!(seq.aggregate_goodput_bps.to_bits(), 0x41b8_9d06_8000_0000);
     for shards in [2, 4] {
         let par = run(shards);
         assert_eq!(

@@ -654,6 +654,11 @@ pub struct PhaseProfile {
     pub deferrals: u64,
     /// TxStart events that transmitted.
     pub transmissions: u64,
+    /// Active-transmission entries carrier sense examined, summed over
+    /// every in-place sense — a host-independent work count (filled in by
+    /// media that keep one; sharded runs count only the senses evaluated
+    /// in place, not the ones precomputed on worker threads).
+    pub sense_candidates: u64,
     /// Batched dispatch cohorts formed (same-tick groups of width ≥ 2;
     /// singleton ticks go down the ordinary scalar path uncounted).
     pub cohorts: u64,

@@ -429,4 +429,118 @@ proptest! {
             }
         }
     }
+
+    // The carrier-sense index against a brute-force reference: after any
+    // sequence of inserts and removes, every active entry within `reach`
+    // of a query point is in that point's list, every list runs
+    // end-descending, and no list holds a removed entry. Floors run from
+    // a sub-metre single AP to 30x30 APs; `reach` from a nanometre to
+    // beyond the whole floor; queries sit at AP sites, corners, just below
+    // cell edges and far outside the bounds, and entries just inside
+    // `reach` of them.
+    #[test]
+    fn sense_index_lists_cover_every_entry_in_reach(
+        cols in 1usize..31,
+        rows in 1usize..31,
+        spacing in 0.3f64..60.0,
+        reach_exp in 0.0f64..1.0,
+        n_ops in 1usize..160,
+        seed in any::<u64>(),
+    ) {
+        use softrate::net::geometry::{ap_grid, grid_bounds, Point};
+        use softrate::net::grid::{dist2, SenseIndex, TxEntry};
+        let bounds = grid_bounds(cols, rows, spacing);
+        let aps = ap_grid(cols, rows, spacing);
+        let span = bounds.width().hypot(bounds.height());
+        // Log-uniform from 1 nm to twice the floor's diagonal.
+        let reach = 1e-9 * (2.0 * span / 1e-9).powf(reach_exp);
+        let mut idx = SenseIndex::new(bounds, reach);
+        let u = |k: u64| hash_uniform(&[seed, k]);
+        let ap = |k: u64| aps[((u(k) * aps.len() as f64) as usize).min(aps.len() - 1)];
+        let far = [
+            Point { x: bounds.min.x - 1e6, y: bounds.min.y - 1e6 },
+            Point { x: bounds.max.x + 1e6, y: bounds.min.y },
+            Point { x: bounds.min.x, y: bounds.max.y + 1e6 },
+            Point { x: bounds.max.x + 1e6, y: bounds.max.y + 1e6 },
+        ];
+        let corners = [
+            bounds.min,
+            bounds.max,
+            Point { x: bounds.min.x, y: bounds.max.y },
+            Point { x: bounds.max.x, y: bounds.min.y },
+        ];
+        let mut queries: Vec<Point> = corners.iter().chain(&far).copied().collect();
+        for k in 0..24u64 {
+            queries.push(ap(1000 + k));
+            queries.push(bounds.lerp(u(2000 + k), u(3000 + k)));
+        }
+        // Just below every cell edge the index could have: its cell side
+        // is `reach` doubled some number of times.
+        let mut cell = reach;
+        for k in 0..64u64 {
+            if cell > span {
+                break;
+            }
+            let j = 1.0 + (u(4000 + k) * span / cell).floor();
+            queries.push(Point {
+                x: (bounds.min.x + j * cell).next_down(),
+                y: (bounds.min.y + j * cell).next_down(),
+            });
+            cell *= 2.0;
+        }
+        let mut active: Vec<TxEntry> = Vec::new();
+        let mut next_sender = 0usize;
+        for op in 0..n_ops as u64 {
+            let r = |j: u64| u(10 * op + j);
+            if active.is_empty() || r(0) < 0.6 {
+                let pos = match (r(1) * 4.0) as u32 {
+                    0 => bounds.lerp(r(2), r(3)),
+                    1 => far[(r(2) * 4.0) as usize % 4],
+                    // Just inside `reach` of a query point, on an axis.
+                    _ => {
+                        let a = queries[((r(2) * queries.len() as f64) as usize) % queries.len()];
+                        let d = reach * (1.0 - f64::EPSILON * (r(3) * 8.0).floor());
+                        match (r(4) * 4.0) as u32 {
+                            0 => Point { x: a.x + d, y: a.y },
+                            1 => Point { x: a.x - d, y: a.y },
+                            2 => Point { x: a.x, y: a.y + d },
+                            _ => Point { x: a.x, y: a.y - d },
+                        }
+                    }
+                };
+                // Few distinct ends, so ties are common.
+                let e = TxEntry { sender: next_sender, pos, end: (r(5) * 5.0).floor() };
+                next_sender += 1;
+                idx.insert(e);
+                active.push(e);
+            } else {
+                let i = ((r(1) * active.len() as f64) as usize).min(active.len() - 1);
+                let e = active.swap_remove(i);
+                idx.remove(e.sender, e.pos);
+            }
+            if op % 16 != 15 && op + 1 != n_ops as u64 {
+                continue;
+            }
+            for &q in &queries {
+                let list = idx.list_at(q);
+                for e in &active {
+                    if dist2(e.pos, q) < reach * reach {
+                        prop_assert!(
+                            list.iter().any(|l| l.sender == e.sender),
+                            "entry {:?} within {} of {:?} is missing", e, reach, q
+                        );
+                    }
+                }
+            }
+            for list in idx.lists() {
+                prop_assert!(list.windows(2).all(|w| w[0].end >= w[1].end), "list not end-descending");
+                for l in list {
+                    prop_assert!(
+                        active.iter().any(|e| e.sender == l.sender && e.end == l.end),
+                        "removed entry {:?} still listed", l
+                    );
+                }
+            }
+        }
+    }
 }

@@ -367,3 +367,37 @@ fn bursty_onoff_cell_edge_is_source_limited() {
         );
     }
 }
+
+/// `resolve` accepts any positive AP spacing, so a scenario document can
+/// describe a floor under a metre across; it must run, not panic while
+/// sizing the carrier-sense index.
+#[test]
+fn sub_metre_floor_runs_from_a_scenario_document() {
+    let spec = softrate::scenario::spec::ScenarioSpec::from_toml(
+        r#"
+name = "sub-metre"
+duration = 0.5
+seed = 5
+adapters = ["SoftRate"]
+
+[topology.spatial]
+ap_cols = 1
+ap_rows = 1
+ap_spacing_m = 0.5
+n_stations = 4
+mobility = "Static"
+
+[channel]
+model = "Analytic"
+snr_db = 55.0
+fading = "None"
+
+[traffic]
+kind = "UdpBulk"
+"#,
+    )
+    .expect("spec parses");
+    let results = run_all(&expand(&spec).expect("expands"), Some(1));
+    assert_eq!(results.len(), 1);
+    assert!(results[0].frames_sent > 0);
+}
