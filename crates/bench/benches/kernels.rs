@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of the three kernels on the spatial
-//! simulator's hot path — the ones the fast-path PR reworked:
+//! simulator's hot path:
 //!
 //! * `snr_between` — log-distance path loss (distance + `log10`), the
 //!   carrier-sense / interference arithmetic the pruning radii avoid;
@@ -7,11 +7,8 @@
 //!   over preinterleaved `(w, phase)` pairs;
 //! * `analytic_frame_success` — the closed-form success kernel, raw and
 //!   through the exact-key `FrameSuccessMemo` (hit and miss regimes);
-//! * the contiguous-lane batch kernels (DESIGN.md §13) — `gain_many`/
-//!   `gain_x4`, `ber_success_many`, and `eval_many` — against their
-//!   scalar twins, amortized per lane.
 //!
-//! Numbers here anchor DESIGN.md §7/§13's cost models; the end-to-end
+//! Numbers here anchor DESIGN.md §7's cost model; the end-to-end
 //! effect is tracked by `netscale` / `BENCH_netscale.json`.
 //!
 //! `SOFTRATE_BENCH_QUICK=1` shrinks every measurement budget to ~100 ms
@@ -20,13 +17,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
-use softrate_channel::analytic::{
-    analytic_frame_success, ber_success_many, FrameSuccessMemo, OracleBands,
-};
+use softrate_channel::analytic::{analytic_frame_success, FrameSuccessMemo, OracleBands};
 use softrate_channel::jakes::JakesFading;
 use softrate_net::mobility::MobilitySpec;
 use softrate_net::spatial::SpatialSpec;
-use softrate_phy::complex::Complex;
 
 /// Per-benchmark measurement budget (quick mode for CI smoke).
 fn budget() -> Duration {
@@ -136,97 +130,10 @@ fn bench_frame_success(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_batched_kernels(c: &mut Criterion) {
-    let mut g = c.benchmark_group("batched_kernels");
-    g.measurement_time(budget()).sample_size(30);
-    // Per-lane cost of the batch Jakes kernels vs the scalar loop, over
-    // a cohort-sized slab of 16 instants.
-    const W: usize = 16;
-    let fading = JakesFading::new(400.0, 7);
-    let lanes: Vec<JakesFading> = (0..4).map(|s| JakesFading::new(400.0, s)).collect();
-    g.bench_function(BenchmarkId::new("jakes_gain_scalar_loop", W), |b| {
-        let mut t = 0.0f64;
-        let mut out = vec![Complex::new(0.0, 0.0); W];
-        b.iter(|| {
-            t += 1e-5;
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = fading.gain(t + i as f64 * 1e-4);
-            }
-            out[W - 1]
-        })
-    });
-    g.bench_function(BenchmarkId::new("jakes_gain_many", W), |b| {
-        let mut t = 0.0f64;
-        let mut ts = vec![0.0f64; W];
-        let mut out = vec![Complex::new(0.0, 0.0); W];
-        b.iter(|| {
-            t += 1e-5;
-            for (i, x) in ts.iter_mut().enumerate() {
-                *x = t + i as f64 * 1e-4;
-            }
-            fading.gain_many(&ts, &mut out);
-            out[W - 1]
-        })
-    });
-    g.bench_function("jakes_gain_x4", |b| {
-        let mut t = 0.0f64;
-        b.iter(|| {
-            t += 1e-5;
-            JakesFading::gain_x4(
-                [&lanes[0], &lanes[1], &lanes[2], &lanes[3]],
-                [t, t + 1e-4, t + 2e-4, t + 3e-4],
-            )
-        })
-    });
-    // The BER/success batch kernel and the memoized probe, per lane.
-    let mut snrs = vec![0.0f64; W];
-    let rates: Vec<u32> = (0..W as u32).map(|i| i % 6).collect();
-    let bits = vec![11_520u64; W];
-    g.bench_function(BenchmarkId::new("ber_success_many", W), |b| {
-        let mut base = 0.0f64;
-        let mut out = vec![(0.0, 0.0); W];
-        b.iter(|| {
-            base += 1.3e-4;
-            for (i, s) in snrs.iter_mut().enumerate() {
-                *s = 5.0 + ((base + i as f64 * 0.37) % 25.0);
-            }
-            ber_success_many(&snrs, &rates, &bits, &mut out);
-            out[W - 1]
-        })
-    });
-    g.bench_function(BenchmarkId::new("eval_many_memo_miss", W), |b| {
-        let mut memo = FrameSuccessMemo::new();
-        let mut base = 0.0f64;
-        let mut out = vec![(0.0, 0.0); W];
-        b.iter(|| {
-            base += 1.3e-4;
-            for (i, s) in snrs.iter_mut().enumerate() {
-                *s = 5.0 + ((base + i as f64 * 0.37) % 25.0);
-            }
-            memo.eval_many(&snrs, &rates, &bits, &mut out);
-            out[W - 1]
-        })
-    });
-    g.bench_function(BenchmarkId::new("eval_many_memo_hit", W), |b| {
-        let mut memo = FrameSuccessMemo::new();
-        for (i, s) in snrs.iter_mut().enumerate() {
-            *s = 5.0 + i as f64 * 0.37;
-        }
-        let mut out = vec![(0.0, 0.0); W];
-        memo.eval_many(&snrs, &rates, &bits, &mut out);
-        b.iter(|| {
-            memo.eval_many(&snrs, &rates, &bits, &mut out);
-            out[W - 1]
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_snr_between,
     bench_jakes_gain,
-    bench_frame_success,
-    bench_batched_kernels
+    bench_frame_success
 );
 criterion_main!(benches);

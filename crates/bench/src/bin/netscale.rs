@@ -38,7 +38,7 @@
 //! sharded UDP run rewrites the `sharded_rows` trajectory (tagged with
 //! the shard count and the host cores the measurement had).
 //!
-//! `--traffic tcp|onoff|udp` swaps the workload: `tcp` runs the ladder
+//! `--traffic udp|tcp|onoff` swaps the workload: `tcp` runs the ladder
 //! under per-station TCP NewReno uploads (AP transmitters carry the ACK
 //! downlink through the shared transport layer), `onoff` under bursty
 //! half-duty Poisson sources. The default saturated-UDP ladder rewrites
@@ -52,6 +52,9 @@
 //! never touches the event queue or any RNG, so `events` at every ladder
 //! point is unchanged — but the wall numbers carry recorder overhead, so
 //! recorder runs never rewrite `BENCH_netscale.json`.
+//!
+//! An unknown flag, a flag missing its value, or a malformed value is
+//! rejected with a one-line message and exit status 2.
 
 use serde::{Deserialize, Serialize};
 use softrate_bench::{banner, smoke_mode};
@@ -189,33 +192,92 @@ fn spec(r: &Rung) -> SpatialSpec {
 /// The run configuration for one rung (traffic, duration, stagger,
 /// shards) — the single place a ladder row's parameters turn into a
 /// [`SpatialConfig`].
-fn config(r: &Rung, traffic: &SpatialTraffic, shards: usize, batch: bool) -> SpatialConfig {
+fn config(r: &Rung, traffic: &SpatialTraffic, shards: usize) -> SpatialConfig {
     let mut cfg = SpatialConfig::new(AdapterKind::SoftRate, spec(r));
     cfg.traffic = traffic.clone();
     cfg.duration = r.sim_seconds;
     cfg.kickoff_stagger_s = r.stagger_s;
     cfg.shards = shards;
-    cfg.batch = batch;
     cfg
 }
 
-/// The ladder workload selected by `--traffic` (default: the saturated
-/// uplink UDP the committed trajectory is measured under).
-fn traffic_for(mode: &str) -> SpatialTraffic {
+/// The ladder workload named by `--traffic` (default: the saturated
+/// uplink UDP the committed trajectory is measured under), or `None` for
+/// an unknown name.
+fn traffic_for(mode: &str) -> Option<SpatialTraffic> {
     let flows = |traffic| SpatialTraffic::Flows(TransportConfig::enterprise(traffic, true, 0x5A7A));
     match mode {
-        "udp" => SpatialTraffic::SaturatedUplinkUdp,
-        "tcp" => flows(TrafficKind::Tcp),
-        "onoff" => flows(TrafficKind::OnOff {
+        "udp" => Some(SpatialTraffic::SaturatedUplinkUdp),
+        "tcp" => Some(flows(TrafficKind::Tcp)),
+        "onoff" => Some(flows(TrafficKind::OnOff {
             rate_pps: 200.0,
             on_s: 0.5,
             off_s: 0.5,
-        }),
-        other => {
-            eprintln!("netscale: unknown --traffic `{other}` (udp | tcp | onoff)");
-            std::process::exit(2);
+        })),
+        _ => None,
+    }
+}
+
+/// The parsed command line.
+#[derive(Debug)]
+struct Cli {
+    smoke: bool,
+    profile: bool,
+    gate: bool,
+    /// A name [`traffic_for`] accepts.
+    traffic: String,
+    shards: usize,
+    metrics: Option<String>,
+    decisions: Option<String>,
+}
+
+/// Parses `args` (without the program name). Every flag is known, every
+/// value-taking flag has its value, and every value is well formed — or
+/// the error says which is not.
+fn parse_cli(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        smoke: false,
+        profile: false,
+        gate: false,
+        traffic: "udp".to_string(),
+        shards: 1,
+        metrics: None,
+        decisions: None,
+    };
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag.as_str() {
+            "--smoke" => cli.smoke = true,
+            "--profile" => cli.profile = true,
+            "--gate" => cli.gate = true,
+            "--traffic" => {
+                cli.traffic = value()?;
+                if traffic_for(&cli.traffic).is_none() {
+                    return Err(format!(
+                        "unknown --traffic `{}` (udp | tcp | onoff)",
+                        cli.traffic
+                    ));
+                }
+            }
+            "--shards" => {
+                let v = value()?;
+                cli.shards = v
+                    .parse()
+                    .ok()
+                    .filter(|&n: &usize| n >= 1)
+                    .ok_or_else(|| format!("--shards takes a positive integer, not `{v}`"))?;
+            }
+            "--metrics" => cli.metrics = Some(value()?),
+            "--decisions" => cli.decisions = Some(value()?),
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    Ok(cli)
 }
 
 fn host_cores() -> usize {
@@ -257,9 +319,6 @@ fn print_profile(p: &PhaseProfile) {
         p.deferrals,
         p.transmissions,
     );
-    // Batch statistics: kernel time plus the same-tick cohort-size
-    // distribution (width ≥ 2 cohorts only — width-1 "cohorts" are the
-    // ordinary scalar path and are not counted).
     // Carrier-sense work: index entries examined per sense (a count, so
     // it compares across hosts where the seconds above do not).
     let senses = p.deferrals + p.transmissions;
@@ -268,23 +327,19 @@ fn print_profile(p: &PhaseProfile) {
         p.sense_candidates,
         p.sense_candidates as f64 / senses.max(1) as f64,
     );
-    let (p50, p95) = cohort_percentiles(&p.cohort_hist);
+    // Same-tick drain widths (drains of width ≥ 2 only; sharded runs
+    // dispatch one event at a time and leave these at zero).
+    let (p50, p95) = drain_percentiles(&p.cohort_hist);
     println!(
-        "                   kernel {:6.3}s ({:4.1}%)  cohorts {}  \
-         width p50 {}  p95 {}  max {}",
-        p.kernel_s,
-        pct(p.kernel_s),
-        p.cohorts,
-        p50,
-        p95,
-        p.cohort_max,
+        "                   same-tick drains {}  width p50 {}  p95 {}  max {}",
+        p.cohorts, p50, p95, p.cohort_max,
     );
 }
 
-/// p50/p95 cohort widths from the profile's width histogram (bucket `i`
-/// < 15 holds width `i + 1`; the final bucket is "16 or wider", reported
-/// as 16+ via the max column).
-fn cohort_percentiles(hist: &[u64; 16]) -> (u64, u64) {
+/// p50/p95 same-tick drain widths from the profile's width histogram
+/// (bucket `i` < 15 holds width `i + 1`; the final bucket is "16 or
+/// wider", reported as 16+ via the max column).
+fn drain_percentiles(hist: &[u64; 16]) -> (u64, u64) {
     let total: u64 = hist.iter().sum();
     if total == 0 {
         return (0, 0);
@@ -345,7 +400,7 @@ fn run_gate() -> ! {
             .iter()
             .find(|r| r.stations == stations)
             .expect("gate rungs are in the ladder table");
-        let mut cfg = config(rung, traffic, shards, true);
+        let mut cfg = config(rung, traffic, shards);
         cfg.duration = duration;
         let sim = SpatialSim::new(cfg).expect("bench spec is valid");
         let started = std::time::Instant::now();
@@ -395,8 +450,8 @@ fn run_gate() -> ! {
         GATE_EVENTS_UDP,
     );
     // The 10k-station city rung: pins throughput at ladder scale, where
-    // the cohort-batched hot path and the memo layers carry the load. A
-    // shorter window keeps the gate affordable (events/sec is a rate).
+    // carrier sense and the memo layers carry the load. A shorter window
+    // keeps the gate affordable (events/sec is a rate).
     if let Some(city) = committed
         .rows
         .iter()
@@ -423,7 +478,7 @@ fn run_gate() -> ! {
         check(
             "tcp",
             GATE_STATIONS,
-            &traffic_for("tcp"),
+            &traffic_for("tcp").expect("tcp is a known workload"),
             1,
             GATE_SIM_SECONDS,
             tcp_baseline.events_per_sec,
@@ -468,52 +523,19 @@ fn run_gate() -> ! {
 }
 
 fn main() {
-    let smoke = smoke_mode();
-    let profile = std::env::args().any(|a| a == "--profile");
-    if std::env::args().any(|a| a == "--gate") {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let cli = parse_cli(&argv).unwrap_or_else(|e| {
+        eprintln!("netscale: {e}");
+        std::process::exit(2);
+    });
+    if cli.gate {
         run_gate();
     }
-    let args: Vec<String> = std::env::args().collect();
-    let traffic_mode = args
-        .iter()
-        .position(|a| a == "--traffic")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
-        .unwrap_or("udp")
-        .to_string();
-    let shards: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.parse().expect("--shards takes a positive integer"))
-        .unwrap_or(1);
-    // `--batch off` is the escape hatch: cohort width 1 through the same
-    // dispatch path, byte-identical results (the equality suite pins it).
-    let batch = match args
-        .iter()
-        .position(|a| a == "--batch")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
-        .unwrap_or("on")
-    {
-        "on" => true,
-        "off" => false,
-        other => {
-            eprintln!("netscale: unknown --batch `{other}` (on | off)");
-            std::process::exit(2);
-        }
-    };
-    let metrics_path = args
-        .iter()
-        .position(|a| a == "--metrics")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let decisions_path = args
-        .iter()
-        .position(|a| a == "--decisions")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let traffic = traffic_for(&traffic_mode);
+    let smoke = cli.smoke || smoke_mode();
+    let (profile, shards) = (cli.profile, cli.shards);
+    let (metrics_path, decisions_path) = (cli.metrics, cli.decisions);
+    let traffic_mode = cli.traffic.as_str();
+    let traffic = traffic_for(traffic_mode).expect("validated by parse_cli");
     let cores = host_cores();
     banner(&format!(
         "netscale — spatial simulator throughput vs station count \
@@ -533,7 +555,7 @@ fn main() {
     // timed run — the first ladder point otherwise absorbs all the
     // cold-start cost.
     {
-        let mut cfg = config(&LADDER[0], &traffic, shards, batch);
+        let mut cfg = config(&LADDER[0], &traffic, shards);
         cfg.duration = 1.0;
         SpatialSim::new(cfg).expect("bench spec is valid").run();
     }
@@ -561,7 +583,7 @@ fn main() {
         let mut wall = f64::INFINITY;
         let mut best: Option<(softrate_sim::mac::RunReport, Option<PhaseProfile>)> = None;
         for _ in 0..if profile { 1 } else { 2 } {
-            let mut cfg = config(rung, &traffic, shards, batch);
+            let mut cfg = config(rung, &traffic, shards);
             if metrics_path.is_some() || decisions_path.is_some() {
                 cfg.telemetry = Some(softrate_telemetry::RecorderConfig {
                     decisions: decisions_path.is_some(),
@@ -652,11 +674,6 @@ fn main() {
         eprintln!("[--profile run: BENCH_netscale.json left untouched (timer overhead)]");
         return;
     }
-    if !batch {
-        // The committed trajectory is the default (batched) hot path.
-        eprintln!("[--batch off run: BENCH_netscale.json left untouched (escape hatch)]");
-        return;
-    }
     if smoke {
         // Smoke ladders have no 400-station row and must not clobber the
         // committed trajectory the CI gate compares against.
@@ -709,5 +726,50 @@ fn main() {
             }
         }
         Err(e) => eprintln!("warning: cannot serialize results: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_cli(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn defaults_and_known_flags_parse() {
+        let cli = parse(&[]).expect("empty argv parses");
+        assert_eq!((cli.traffic.as_str(), cli.shards), ("udp", 1));
+        let cli = parse(&["--smoke", "--profile", "--traffic", "tcp", "--shards", "4"])
+            .expect("known flags parse");
+        assert!(cli.smoke && cli.profile && !cli.gate);
+        assert_eq!((cli.traffic.as_str(), cli.shards), ("tcp", 4));
+    }
+
+    #[test]
+    fn the_removed_batch_flag_is_rejected() {
+        assert_eq!(
+            parse(&["--batch", "off"]).unwrap_err(),
+            "unknown flag `--batch`"
+        );
+    }
+
+    #[test]
+    fn malformed_shards_are_rejected() {
+        let e = parse(&["--shards", "x"]).unwrap_err();
+        assert!(e.contains("positive integer") && e.contains("`x`"), "{e}");
+        assert!(parse(&["--shards", "0"]).is_err());
+    }
+
+    #[test]
+    fn a_flag_at_the_end_of_argv_needs_its_value() {
+        assert_eq!(parse(&["--shards"]).unwrap_err(), "--shards needs a value");
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        assert_eq!(parse(&["--bogus"]).unwrap_err(), "unknown flag `--bogus`");
+        assert!(parse(&["--traffic", "quic"]).is_err());
     }
 }

@@ -45,30 +45,6 @@ pub fn analytic_frame_success(snr_db: f64, rate_idx: usize, frame_bits: usize) -
     frame_success_prob(analytic_ber(snr_db, rate_idx), frame_bits)
 }
 
-/// Evaluates [`analytic_ber`] + [`frame_success_prob`] over parallel key
-/// lanes in one coherent sweep: `out[i] = (ber, success)` for
-/// `(snrs[i], rates[i], bits[i])`, bit-identical to the scalar calls
-/// (each lane is an independent pure evaluation — no cross-lane
-/// accumulation exists to reorder). Manually unrolled four wide so the
-/// `powf`/`powi` chains of neighbouring lanes overlap.
-pub fn ber_success_many(snrs: &[f64], rates: &[u32], bits: &[u64], out: &mut [(f64, f64)]) {
-    assert!(snrs.len() == rates.len() && snrs.len() == bits.len() && snrs.len() == out.len());
-    let n4 = snrs.len() - snrs.len() % 4;
-    for i in (0..n4).step_by(4) {
-        let mut ber4 = [0.0f64; 4];
-        for l in 0..4 {
-            ber4[l] = analytic_ber(snrs[i + l], rates[i + l] as usize);
-        }
-        for l in 0..4 {
-            out[i + l] = (ber4[l], frame_success_prob(ber4[l], bits[i + l] as usize));
-        }
-    }
-    for i in n4..snrs.len() {
-        let ber = analytic_ber(snrs[i], rates[i] as usize);
-        out[i] = (ber, frame_success_prob(ber, bits[i] as usize));
-    }
-}
-
 /// The omniscient oracle over the analytic map: the highest rate whose
 /// `frame_bits`-bit frame is essentially guaranteed (success probability
 /// > 0.95) at `snr_db`; the most robust rate when none qualifies.
@@ -209,25 +185,12 @@ fn slot_index(snr_bits: u64, rate_idx: u32, frame_bits: u64) -> usize {
 #[derive(Debug, Clone)]
 pub struct FrameSuccessMemo {
     slots: Box<[MemoSlot]>,
-    /// Reused miss-lane scratch for [`FrameSuccessMemo::eval_many`]:
-    /// input indices of the probes that missed, plus their key lanes and
-    /// kernel results, so a batch miss allocates nothing in steady state.
-    miss_idx: Vec<u32>,
-    miss_snr: Vec<f64>,
-    miss_rate: Vec<u32>,
-    miss_bits: Vec<u64>,
-    miss_out: Vec<(f64, f64)>,
 }
 
 impl Default for FrameSuccessMemo {
     fn default() -> Self {
         FrameSuccessMemo {
             slots: vec![EMPTY_SLOT; MEMO_SLOTS].into_boxed_slice(),
-            miss_idx: Vec::new(),
-            miss_snr: Vec::new(),
-            miss_rate: Vec::new(),
-            miss_bits: Vec::new(),
-            miss_out: Vec::new(),
         }
     }
 }
@@ -264,67 +227,6 @@ impl FrameSuccessMemo {
             success,
         };
         (ber, success)
-    }
-
-    /// Slice-filling [`FrameSuccessMemo::ber_and_success`] over parallel
-    /// key lanes: `out[i] = (ber, success)` for
-    /// `(snrs[i], rates[i], bits[i])`.
-    ///
-    /// Every returned pair is bit-identical to the scalar call — hits
-    /// return stored kernel values, and the misses are swept through the
-    /// batched kernel ([`ber_success_many`]), whose lanes are pure
-    /// per-key evaluations. The misses install in input order, so a
-    /// later duplicate or colliding key sees exactly what a scalar loop
-    /// would leave behind. (A batch probe can hit an entry a scalar loop
-    /// would have just evicted; the extra hit changes which keys are
-    /// cached afterwards — only ever a speed difference, since the memo
-    /// is value-transparent by construction.)
-    pub fn eval_many(&mut self, snrs: &[f64], rates: &[u32], bits: &[u64], out: &mut [(f64, f64)]) {
-        assert!(snrs.len() == rates.len() && snrs.len() == bits.len() && snrs.len() == out.len());
-        let mut miss_idx = std::mem::take(&mut self.miss_idx);
-        let mut miss_snr = std::mem::take(&mut self.miss_snr);
-        let mut miss_rate = std::mem::take(&mut self.miss_rate);
-        let mut miss_bits = std::mem::take(&mut self.miss_bits);
-        let mut miss_out = std::mem::take(&mut self.miss_out);
-        miss_idx.clear();
-        miss_snr.clear();
-        miss_rate.clear();
-        miss_bits.clear();
-        // Probe pass: fill hits, collect miss lanes contiguously.
-        for i in 0..snrs.len() {
-            let snr_bits = snrs[i].to_bits();
-            let slot = &self.slots[slot_index(snr_bits, rates[i], bits[i])];
-            if slot.snr_bits == snr_bits && slot.rate_idx == rates[i] && slot.frame_bits == bits[i]
-            {
-                out[i] = (slot.ber, slot.success);
-            } else {
-                miss_idx.push(i as u32);
-                miss_snr.push(snrs[i]);
-                miss_rate.push(rates[i]);
-                miss_bits.push(bits[i]);
-            }
-        }
-        // One coherent kernel sweep over the misses, then install in
-        // input order.
-        miss_out.resize(miss_idx.len(), (0.0, 0.0));
-        ber_success_many(&miss_snr, &miss_rate, &miss_bits, &mut miss_out);
-        for (k, &i) in miss_idx.iter().enumerate() {
-            let (ber, success) = miss_out[k];
-            let snr_bits = miss_snr[k].to_bits();
-            self.slots[slot_index(snr_bits, miss_rate[k], miss_bits[k])] = MemoSlot {
-                snr_bits,
-                rate_idx: miss_rate[k],
-                frame_bits: miss_bits[k],
-                ber,
-                success,
-            };
-            out[i as usize] = (ber, success);
-        }
-        self.miss_idx = miss_idx;
-        self.miss_snr = miss_snr;
-        self.miss_rate = miss_rate;
-        self.miss_bits = miss_bits;
-        self.miss_out = miss_out;
     }
 
     /// Memoized [`analytic_frame_success`].
@@ -423,56 +325,6 @@ mod tests {
                     best_rate_for_snr(snr, bits),
                     "snr={snr} bits={bits}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_kernel_matches_scalar_bit_for_bit() {
-        // Lengths covering the 4-wide body and every remainder shape.
-        for n in [0usize, 1, 3, 4, 5, 8, 17] {
-            let snrs: Vec<f64> = (0..n).map(|k| -8.0 + k as f64 * 1.73).collect();
-            let rates: Vec<u32> = (0..n).map(|k| (k % 6) as u32).collect();
-            let bits: Vec<u64> = (0..n).map(|k| [832u64, 11_520, 8000][k % 3]).collect();
-            let mut out = vec![(0.0, 0.0); n];
-            ber_success_many(&snrs, &rates, &bits, &mut out);
-            for i in 0..n {
-                let ber = analytic_ber(snrs[i], rates[i] as usize);
-                assert_eq!(out[i].0.to_bits(), ber.to_bits());
-                assert_eq!(
-                    out[i].1.to_bits(),
-                    frame_success_prob(ber, bits[i] as usize).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn eval_many_matches_scalar_memo_including_collisions() {
-        let mut memo = FrameSuccessMemo::new();
-        // Mixed batches with repeats (duplicate keys inside one batch)
-        // and enough distinct keys to force slot collisions.
-        for round in 0..40 {
-            let n = 1 + (round * 7) % 23;
-            let snrs: Vec<f64> = (0..n)
-                .map(|k| -10.0 + ((round * 31 + k * 17) % 700) as f64 * 0.0717)
-                .collect();
-            let rates: Vec<u32> = (0..n).map(|k| ((round + k) % 6) as u32).collect();
-            let bits: Vec<u64> = (0..n).map(|k| [832u64, 11_520][(round + k) % 2]).collect();
-            let mut out = vec![(0.0, 0.0); n];
-            memo.eval_many(&snrs, &rates, &bits, &mut out);
-            for i in 0..n {
-                let ber = analytic_ber(snrs[i], rates[i] as usize);
-                assert_eq!(out[i].0.to_bits(), ber.to_bits(), "round {round} lane {i}");
-                assert_eq!(
-                    out[i].1.to_bits(),
-                    frame_success_prob(ber, bits[i] as usize).to_bits()
-                );
-                // The scalar path after the batch still agrees (the batch
-                // left only kernel-true values behind).
-                let (b2, s2) = memo.ber_and_success(snrs[i], rates[i] as usize, bits[i] as usize);
-                assert_eq!(b2.to_bits(), out[i].0.to_bits());
-                assert_eq!(s2.to_bits(), out[i].1.to_bits());
             }
         }
     }

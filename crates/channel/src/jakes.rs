@@ -96,62 +96,6 @@ impl JakesFading {
         }
         Complex::new(hi * self.amp, hq * self.amp)
     }
-
-    /// Samples the gain at every time in `ts`, filling `out` lane for
-    /// lane: `out[i] = self.gain(ts[i])` bit for bit.
-    ///
-    /// Times are processed four at a time with four independent
-    /// accumulator chains (ILP across lanes); within each lane the
-    /// sinusoid pairs accumulate in exactly [`JakesFading::gain`]'s
-    /// order, so every lane's sum is the scalar sum — never a re-split
-    /// of one time's accumulation, which would change the FP rounding.
-    pub fn gain_many(&self, ts: &[f64], out: &mut [Complex]) {
-        assert_eq!(ts.len(), out.len());
-        let mut tc = ts.chunks_exact(4);
-        let mut oc = out.chunks_exact_mut(4);
-        for (t4, o4) in (&mut tc).zip(&mut oc) {
-            let mut hi = [0.0f64; 4];
-            let mut hq = [0.0f64; 4];
-            for pair in self.wp.chunks_exact(2) {
-                for l in 0..4 {
-                    hi[l] += (pair[0].0 * t4[l] + pair[0].1).cos();
-                    hq[l] += (pair[1].0 * t4[l] + pair[1].1).cos();
-                }
-            }
-            for l in 0..4 {
-                o4[l] = Complex::new(hi[l] * self.amp, hq[l] * self.amp);
-            }
-        }
-        for (t, o) in tc.remainder().iter().zip(oc.into_remainder()) {
-            *o = self.gain(*t);
-        }
-    }
-
-    /// Samples four *distinct* processes at four times in one pass:
-    /// `gain_x4(ps, ts)[l] == ps[l].gain(ts[l])` bit for bit.
-    ///
-    /// The per-station envelope prewarm needs exactly this shape — same
-    /// tick, different links — where [`JakesFading::gain_many`] (one
-    /// process, many times) does not apply. Four independent accumulator
-    /// chains walk the four sinusoid tables in lockstep; each lane keeps
-    /// the scalar accumulation order.
-    pub fn gain_x4(ps: [&JakesFading; 4], ts: [f64; 4]) -> [Complex; 4] {
-        let mut hi = [0.0f64; 4];
-        let mut hq = [0.0f64; 4];
-        for k in 0..NUM_SINUSOIDS {
-            for l in 0..4 {
-                let (wi, phi) = ps[l].wp[2 * k];
-                let (wq, psi) = ps[l].wp[2 * k + 1];
-                hi[l] += (wi * ts[l] + phi).cos();
-                hq[l] += (wq * ts[l] + psi).cos();
-            }
-        }
-        let mut out = [Complex::new(0.0, 0.0); 4];
-        for l in 0..4 {
-            out[l] = Complex::new(hi[l] * ps[l].amp, hq[l] * ps[l].amp);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -265,48 +209,6 @@ mod tests {
         let slow = count_fades(40.0);
         let fast = count_fades(400.0);
         assert!(fast > 2 * slow, "slow {slow} fast {fast}");
-    }
-
-    #[test]
-    fn gain_many_is_bit_identical_to_scalar() {
-        for seed in [0u64, 7, 91] {
-            for doppler in [0.0, 2.0, 400.0] {
-                let f = JakesFading::new(doppler, seed);
-                // Lengths exercising the 4-wide body and every remainder.
-                for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 13] {
-                    let ts: Vec<f64> = (0..n).map(|k| k as f64 * 0.00173 - 0.4).collect();
-                    let mut out = vec![Complex::new(0.0, 0.0); n];
-                    f.gain_many(&ts, &mut out);
-                    for (t, o) in ts.iter().zip(&out) {
-                        let s = f.gain(*t);
-                        assert_eq!(o.re.to_bits(), s.re.to_bits());
-                        assert_eq!(o.im.to_bits(), s.im.to_bits());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gain_x4_is_bit_identical_to_scalar() {
-        let ps: Vec<JakesFading> = (0..4)
-            .map(|s| JakesFading::new(40.0 + s as f64, s))
-            .collect();
-        let refs = [&ps[0], &ps[1], &ps[2], &ps[3]];
-        for k in 0..50 {
-            let ts = [
-                k as f64 * 0.003,
-                k as f64 * 0.005 + 0.1,
-                k as f64 * 0.007 - 0.2,
-                k as f64 * 0.011,
-            ];
-            let g = JakesFading::gain_x4(refs, ts);
-            for l in 0..4 {
-                let s = refs[l].gain(ts[l]);
-                assert_eq!(g[l].re.to_bits(), s.re.to_bits(), "lane {l}");
-                assert_eq!(g[l].im.to_bits(), s.im.to_bits(), "lane {l}");
-            }
-        }
     }
 
     #[test]

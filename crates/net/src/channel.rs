@@ -18,7 +18,6 @@ use softrate_channel::analytic::{
     analytic_ber, frame_success_prob, FrameSuccessMemo, DETECT_SNR_DB, HEADER_FAIL_BER,
 };
 use softrate_channel::jakes::JakesFading;
-use softrate_phy::complex::Complex;
 use softrate_trace::schema::FrameFate;
 
 use crate::stream::SplitMix64;
@@ -57,33 +56,6 @@ impl StreamingLink {
     /// Instantaneous SNR at `t` given the link's mean (path-loss) SNR.
     pub fn snr_db(&self, mean_snr_db: f64, t: f64) -> f64 {
         mean_snr_db + self.envelope_db(t)
-    }
-
-    /// [`StreamingLink::envelope_db`] over many times on one link:
-    /// `out[i] = self.envelope_db(ts[i])` bit for bit, via the batched
-    /// Jakes kernel.
-    pub fn envelope_db_many(&self, ts: &[f64], out: &mut [f64]) {
-        let mut gains = [Complex::new(0.0, 0.0); 4];
-        for (t4, o4) in ts.chunks(4).zip(out.chunks_mut(4)) {
-            let g = &mut gains[..t4.len()];
-            self.jakes.gain_many(t4, g);
-            for (o, g) in o4.iter_mut().zip(g.iter()) {
-                *o = 10.0 * g.norm_sqr().max(ENVELOPE_FLOOR).log10();
-            }
-        }
-    }
-
-    /// Four *distinct* links sampled at four times in one pass —
-    /// `envelope_db_x4(ls, ts)[l] == ls[l].envelope_db(ts[l])` bit for
-    /// bit. The same-tick cohort prewarm is exactly this shape (one
-    /// tick, four stations' links).
-    pub fn envelope_db_x4(ls: [&StreamingLink; 4], ts: [f64; 4]) -> [f64; 4] {
-        let g = JakesFading::gain_x4([&ls[0].jakes, &ls[1].jakes, &ls[2].jakes, &ls[3].jakes], ts);
-        let mut out = [0.0f64; 4];
-        for l in 0..4 {
-            out[l] = 10.0 * g[l].norm_sqr().max(ENVELOPE_FLOOR).log10();
-        }
-        out
     }
 
     /// Consumes and returns the link's next fate coin (uniform `[0, 1)`).
@@ -221,31 +193,6 @@ mod tests {
             }
         }
         assert!(delivered > 0 && lost > 0, "{delivered} / {lost}");
-    }
-
-    #[test]
-    fn batched_envelopes_match_scalar_bit_for_bit() {
-        let links: Vec<StreamingLink> = (0..4)
-            .map(|k| StreamingLink::new(30 + k, 40 + k, 55.0))
-            .collect();
-        for n in [0usize, 1, 3, 4, 5, 9] {
-            let ts: Vec<f64> = (0..n).map(|k| k as f64 * 0.0041).collect();
-            let mut out = vec![0.0; n];
-            links[0].envelope_db_many(&ts, &mut out);
-            for (t, o) in ts.iter().zip(&out) {
-                assert_eq!(o.to_bits(), links[0].envelope_db(*t).to_bits());
-            }
-        }
-        let refs = [&links[0], &links[1], &links[2], &links[3]];
-        let ts = [0.01, 0.21, 0.007, 1.33];
-        let e = StreamingLink::envelope_db_x4(refs, ts);
-        for l in 0..4 {
-            assert_eq!(
-                e[l].to_bits(),
-                refs[l].envelope_db(ts[l]).to_bits(),
-                "lane {l}"
-            );
-        }
     }
 
     #[test]

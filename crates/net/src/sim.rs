@@ -37,7 +37,7 @@
 
 use std::collections::VecDeque;
 
-use softrate_channel::analytic::{FrameSuccessMemo, OracleBands, DETECT_SNR_DB};
+use softrate_channel::analytic::{FrameSuccessMemo, OracleBands};
 use softrate_core::adapter::{DecisionTrigger, RateAdapter, TxAttempt};
 use softrate_sim::config::AdapterKind;
 use softrate_sim::fault::{FaultConfig, FaultDriver, FaultLoss};
@@ -112,13 +112,6 @@ pub struct SpatialConfig {
     /// `--threads` × `--shards` does not oversubscribe the host. Sizing
     /// only — results are byte-identical for every value.
     pub shard_workers: Option<usize>,
-    /// Same-tick cohort batching (`true`, the default): the engine drains
-    /// every event sharing a timestamp before dispatching and lets the
-    /// medium warm its memo layers through the contiguous-lane channel
-    /// kernels. `false` forces cohort width 1 through the *same* code
-    /// path — the `--batch off` escape hatch, byte-identical by
-    /// construction (pinned by the batched-vs-unbatched equality suite).
-    pub batch: bool,
     /// Saturated-uplink kickoff stagger between consecutive stations,
     /// seconds — spreads the floor's first backoff draws so they do not
     /// all land on one instant. Large ladders scale it down so the whole
@@ -149,7 +142,6 @@ impl SpatialConfig {
             traffic: SpatialTraffic::SaturatedUplinkUdp,
             shards: 1,
             shard_workers: None,
-            batch: true,
             kickoff_stagger_s: 2e-4,
             telemetry: None,
             faults: None,
@@ -492,15 +484,6 @@ struct SpatialMedium {
     env_cache: Vec<(u64, u64, f64)>,
     /// Shared memo over the analytic BER/success kernels.
     fs_memo: FrameSuccessMemo,
-    /// Scratch for [`Medium::prepare_cohort`] (reused, allocation-free):
-    /// `(station, instant)` envelope evaluations the cohort will need.
-    coh_env: Vec<(u32, f64)>,
-    /// Scratch: gathered [`FrameSuccessMemo::eval_many`] key lanes and
-    /// the (discarded) output pairs for the cohort's outcome members.
-    coh_snr: Vec<f64>,
-    coh_rate: Vec<u32>,
-    coh_bits: Vec<u64>,
-    coh_out: Vec<(f64, f64)>,
     /// The omniscient oracle as exact threshold compares.
     oracle: OracleBands,
     /// Positions of active-set mutations (insert/remove) since the last
@@ -1402,109 +1385,6 @@ impl Medium for SpatialMedium {
         )
     }
 
-    /// Same-tick cohort prewarm: one coherent sweep through the batched
-    /// channel kernels so the member dispatches that follow hit warm memo
-    /// slots.
-    ///
-    /// Two passes, both value-transparent (memo writes only — a miss at
-    /// dispatch recomputes the identical number, so `--batch off` is
-    /// byte-identical by construction):
-    ///
-    /// 1. **Envelopes.** Every Jakes evaluation the cohort will demand —
-    ///    TxStart members sample their station's link at the cohort tick
-    ///    (the transmit-time oracle audit), Outcome members at their
-    ///    transmit instant (the fate draw shares the transmit-time
-    ///    evaluation) — gathered, deduplicated against warm cache slots,
-    ///    and swept four lanes at a time through
-    ///    [`StreamingLink::envelope_db_x4`].
-    /// 2. **Frame-success pairs.** The outcome members' `(SNR, rate,
-    ///    bits)` memo keys, swept through
-    ///    [`FrameSuccessMemo::eval_many`]'s unrolled miss kernel.
-    ///
-    /// Best-effort by design: a TxStart that ends up deferring wastes its
-    /// envelope warm, an AP sender's port is unknown until `pick_port`
-    /// (skipped), and a duplicate station in one cohort keeps only the
-    /// last slot — none of which can perturb values.
-    fn prepare_cohort(&mut self, core: &Core, t: f64, cohort: &[MacEv<SpatialEv>]) {
-        let _ = t;
-        let mut env = std::mem::take(&mut self.coh_env);
-        env.clear();
-        // Only `Outcome` members are worth warming: an outcome always
-        // evaluates its fate (envelope at the recorded start instant plus
-        // the frame-success key), whereas a same-tick `TxStart` storm is
-        // deferral-dominated — most members lose carrier sense and never
-        // touch the channel, so batch-evaluating their envelopes would
-        // burn the kernel's win on values nobody reads. (Skipping them is
-        // sound: the prewarm is best-effort by contract, and a skipped
-        // member simply computes its envelope at dispatch as before.)
-        for ev in cohort {
-            if let MacEv::Outcome { tx } = *ev {
-                if let Some(p) = core.pending.iter().find(|p| p.id == tx) {
-                    let st = self.station_of_port(p.port);
-                    let (e, cached, _) = self.env_cache[st];
-                    if e != self.stations[st].epoch || cached != p.start.to_bits() {
-                        env.push((st as u32, p.start));
-                    }
-                }
-            }
-        }
-        for q in env.chunks(4) {
-            if let [a, b, c, d] = *q {
-                let g = StreamingLink::envelope_db_x4(
-                    [
-                        &self.stations[a.0 as usize].link,
-                        &self.stations[b.0 as usize].link,
-                        &self.stations[c.0 as usize].link,
-                        &self.stations[d.0 as usize].link,
-                    ],
-                    [a.1, b.1, c.1, d.1],
-                );
-                for (l, &(st, at)) in q.iter().enumerate() {
-                    let st = st as usize;
-                    self.env_cache[st] = (self.stations[st].epoch, at.to_bits(), g[l]);
-                }
-            } else {
-                for &(st, at) in q {
-                    self.env_at(st as usize, at);
-                }
-            }
-        }
-        env.clear();
-        self.coh_env = env;
-
-        let mut snrs = std::mem::take(&mut self.coh_snr);
-        let mut rates = std::mem::take(&mut self.coh_rate);
-        let mut bits = std::mem::take(&mut self.coh_bits);
-        let mut out = std::mem::take(&mut self.coh_out);
-        snrs.clear();
-        rates.clear();
-        bits.clear();
-        for ev in cohort {
-            if let MacEv::Outcome { tx } = *ev {
-                if let Some(p) = core.pending.iter().find(|p| p.id == tx) {
-                    let st = self.station_of_port(p.port);
-                    let snr = p.info.sig_snr_db + self.env_at(st, p.start);
-                    // Below the detection floor the fate never consults
-                    // the memo; warming those keys would only pollute it.
-                    if snr >= DETECT_SNR_DB {
-                        snrs.push(snr);
-                        rates.push(p.rate_idx as u32);
-                        bits.push((p.payload_bytes * 8) as u64);
-                    }
-                }
-            }
-        }
-        if snrs.len() >= 2 {
-            out.clear();
-            out.resize(snrs.len(), (0.0, 0.0));
-            self.fs_memo.eval_many(&snrs, &rates, &bits, &mut out);
-        }
-        self.coh_snr = snrs;
-        self.coh_rate = rates;
-        self.coh_bits = bits;
-        self.coh_out = out;
-    }
-
     fn on_acked(&mut self, core: &mut Core, tx: &ActiveTx<SpatialTx>) {
         let n = self.params.n_stations;
         let flow = station_of_port(n, tx.port);
@@ -1924,11 +1804,6 @@ impl SpatialSim {
             snr_ap_cache: vec![(NO_TIME, 0, 0.0); n],
             env_cache: vec![(0, NO_TIME, 0.0); n],
             fs_memo: FrameSuccessMemo::new(),
-            coh_env: Vec::new(),
-            coh_snr: Vec::new(),
-            coh_rate: Vec::new(),
-            coh_bits: Vec::new(),
-            coh_out: Vec::new(),
             oracle: OracleBands::new(cfg.frame_bits()),
             mut_log: Vec::new(),
             log_muts: false,
@@ -1982,7 +1857,6 @@ impl SpatialSim {
             });
         }
         let mut engine = MacEngine::new(n_senders, ports, mac_params, medium);
-        engine.core.batch = engine.medium.cfg.batch;
         if let Some(tcfg) = engine.medium.cfg.telemetry.clone() {
             engine.core.recorder = Some(Box::new(softrate_telemetry::Recorder::new(
                 tcfg, n, n_senders,

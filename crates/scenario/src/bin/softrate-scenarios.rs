@@ -34,7 +34,7 @@ USAGE:
     softrate-scenarios list
     softrate-scenarios show <name | --file spec.toml> [--expanded]
     softrate-scenarios run  <--name name | --file spec.toml> [--threads N]
-                            [--shards N] [--batch on|off] [--out results.jsonl]
+                            [--shards N] [--out results.jsonl]
                             [--duration SECS] [--seed N] [--only RUN_IDX]
                             [--metrics metrics.jsonl] [--trace trace.jsonl]
                             [--decisions decisions.jsonl]
@@ -52,10 +52,6 @@ lifecycle rows into the given file (implies --metrics if absent).
 `--shards N` schedules each spatial run over N spatial domains (the
 conservative parallel engine); results and every telemetry stream are
 byte-identical to `--shards 1` — only the wall clock changes.
-`--batch off` disables same-tick cohort batching in spatial runs
-(cohort width 1 through the identical dispatch path); results are
-byte-identical to the default `--batch on` — only the wall clock
-changes.
 `--decisions` streams the rate-decision ledger — one row per
 rate-adaptation decision with trigger class and SNR/BER input — into the
 given file. Inspect all three with `softrate-inspect`.
@@ -74,7 +70,6 @@ struct Args {
     out: Option<String>,
     threads: Option<usize>,
     shards: Option<usize>,
-    batch_off: bool,
     duration: Option<f64>,
     seed: Option<u64>,
     only: Option<usize>,
@@ -91,7 +86,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         out: None,
         threads: None,
         shards: None,
-        batch_off: false,
         duration: None,
         seed: None,
         only: None,
@@ -124,13 +118,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                         .parse()
                         .map_err(|_| "--shards must be an integer".to_string())?,
                 )
-            }
-            "--batch" => {
-                args.batch_off = match value_of("--batch")?.as_str() {
-                    "on" => false,
-                    "off" => true,
-                    other => return Err(format!("--batch takes on|off, not `{other}`")),
-                }
             }
             "--duration" => {
                 args.duration = Some(
@@ -275,7 +262,6 @@ fn cmd_run(args: &Args, require_sweep: bool) -> Result<(), String> {
             telemetry,
             shards,
             shard_workers: None,
-            batch_off: args.batch_off,
         },
     );
     eprintln!("completed in {:.2}s", started.elapsed().as_secs_f64());

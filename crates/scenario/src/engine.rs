@@ -362,7 +362,6 @@ fn run_spatial_plan(
     telemetry: Option<&RecorderConfig>,
     shards: usize,
     shard_workers: Option<usize>,
-    batch: bool,
 ) -> (RunResult, Option<TelemetryReport>) {
     let spec = &plan.spec;
     let mut spatial = spec
@@ -384,7 +383,6 @@ fn run_spatial_plan(
     cfg.telemetry = telemetry.cloned();
     cfg.shards = shards.max(1);
     cfg.shard_workers = shard_workers;
-    cfg.batch = batch;
     let report = SpatialSim::new(cfg)
         .expect("validated spatial spec resolves")
         .run();
@@ -436,11 +434,6 @@ pub struct RunOptions {
     /// between the matrix workers so `threads` × `shards` never
     /// oversubscribes. Sizing only — results are byte-identical.
     pub shard_workers: Option<usize>,
-    /// Disable same-tick cohort batching in spatial runs (the `--batch
-    /// off` escape hatch): cohort width 1 through the identical dispatch
-    /// path, byte-identical results (the equality suite pins it). The
-    /// `false` default keeps the batched hot path on.
-    pub batch_off: bool,
 }
 
 /// [`run_plan_with_telemetry`] with the full option set.
@@ -450,13 +443,7 @@ pub fn run_plan_with_options(
 ) -> (RunResult, Option<TelemetryReport>) {
     let telemetry = opts.telemetry.as_ref();
     if plan.spec.topology.spatial.is_some() {
-        return run_spatial_plan(
-            plan,
-            telemetry,
-            opts.shards,
-            opts.shard_workers,
-            !opts.batch_off,
-        );
+        return run_spatial_plan(plan, telemetry, opts.shards, opts.shard_workers);
     }
     let traces = traces_for(plan);
     let spec = &plan.spec;
@@ -601,7 +588,6 @@ pub fn run_all_with_telemetry(
             telemetry,
             shards: 1,
             shard_workers: None,
-            batch_off: false,
         },
     )
 }

@@ -341,11 +341,6 @@ pub struct MacCore<E, I> {
     pub lanes: StationLanes,
     /// Adapter per port (cold beside [`MacCore::lanes`]).
     pub ports: Vec<Port>,
-    /// Whether dispatch forms same-tick cohorts (the default). `false`
-    /// forces cohort width 1 through the identical code path — the
-    /// `--batch off` escape hatch; results are byte-identical either way
-    /// (cohort prewarm is value-transparent by contract).
-    pub batch: bool,
     /// Transmissions currently on the air.
     pub active: Vec<ActiveTx<I>>,
     /// Transmissions past TxEnd awaiting their feedback window.
@@ -405,7 +400,6 @@ impl<E, I> MacCore<E, I> {
             events: EventQueue::with_capacity(n_senders * 8),
             lanes: StationLanes::new(n_senders, n_ports),
             ports,
-            batch: true,
             active: Vec::new(),
             pending: Vec::new(),
             stats: MacStats::default(),
@@ -586,28 +580,6 @@ pub trait Medium {
     fn event_is_transport(&self, _ev: &Self::Event) -> bool {
         false
     }
-
-    /// Called once per same-tick cohort of width ≥ 2, after the cohort
-    /// was drained from the queue and before any member dispatches. The
-    /// medium may batch-warm its memo layers through the contiguous-lane
-    /// channel kernels (`gain_many`/`gain_x4`, `eval_many`) so the
-    /// per-event dispatch that follows hits warm slots instead of doing N
-    /// scattered kernel evaluations.
-    ///
-    /// **Contract: value-transparent.** The hook must not consume
-    /// randomness, schedule events, or mutate any state an event handler
-    /// reads for *values* — only memo caches, whose misses recompute the
-    /// identical numbers. That is what makes batched dispatch provably
-    /// byte-identical to `--batch off` with no ordering argument at all.
-    /// Defaults to nothing (trace-backed and loopback media have no
-    /// kernels to warm).
-    fn prepare_cohort(
-        &mut self,
-        _core: &MacCore<Self::Event, Self::TxInfo>,
-        _t: f64,
-        _cohort: &[MacEv<Self::Event>],
-    ) {
-    }
 }
 
 /// Wall-time breakdown of one profiled run: seconds spent inside each
@@ -645,9 +617,6 @@ pub struct PhaseProfile {
     /// active set, and the window barriers themselves. Zero on sequential
     /// runs.
     pub sync_s: f64,
-    /// Seconds inside [`Medium::prepare_cohort`] — the batched kernel
-    /// sweeps that warm the memo layers ahead of same-tick dispatch.
-    pub kernel_s: f64,
     /// Whole-run wall seconds.
     pub total_s: f64,
     /// TxStart events that found the medium busy and deferred.
@@ -659,13 +628,16 @@ pub struct PhaseProfile {
     /// media that keep one; sharded runs count only the senses evaluated
     /// in place, not the ones precomputed on worker threads).
     pub sense_candidates: u64,
-    /// Batched dispatch cohorts formed (same-tick groups of width ≥ 2;
-    /// singleton ticks go down the ordinary scalar path uncounted).
+    /// Same-tick drains of width ≥ 2 in [`MacEngine::run`]: ticks whose
+    /// drain popped more than one event before dispatching (singleton
+    /// ticks go uncounted). A host-independent count, like the two fields
+    /// below. Sequential runs only: the sharded merge dispatches events
+    /// one at a time, so sharded runs leave all three at zero.
     pub cohorts: u64,
-    /// Widest cohort seen.
+    /// Widest same-tick drain seen.
     pub cohort_max: u64,
-    /// Cohort-width histogram over the counted (width ≥ 2) cohorts:
-    /// bucket `i < 15` counts cohorts of width `i + 1`; bucket 15 counts
+    /// Drain-width histogram over the counted (width ≥ 2) drains:
+    /// bucket `i < 15` counts drains of width `i + 1`; bucket 15 counts
     /// widths ≥ 16. Percentiles (p50/p95) fall out of the cumulative sum.
     pub cohort_hist: [u64; 16],
 }
@@ -693,60 +665,51 @@ impl<M: Medium> MacEngine<M> {
 
     /// Runs the event loop to `duration` simulated seconds.
     ///
-    /// Dispatch is batch-first: each pop drains the rest of its exact
-    /// tick into a cohort, hands the cohort to
-    /// [`Medium::prepare_cohort`] (one coherent kernel sweep over the
-    /// medium's memo layers), then dispatches the members one by one.
-    /// Sequence numbers are allocated monotonically at schedule time, so
-    /// every event already queued at this tick precedes anything a
-    /// cohort member's handler can newly schedule — pre-draining the
-    /// tick and dispatching in pop order *is* the sequential `(time,
-    /// seq)` order, and a handler-scheduled same-tick event simply forms
-    /// the next cohort. With `core.batch` off the drain is skipped and
-    /// every cohort has width 1 through this same code path.
+    /// Each pop drains the rest of its exact tick before dispatching any
+    /// of it, then dispatches the drained events in pop order. Sequence
+    /// numbers are allocated monotonically at schedule time, so every
+    /// event already queued at this tick precedes anything a handler can
+    /// newly schedule: draining the tick and dispatching in pop order *is*
+    /// the plain `(time, seq)` pop order, and a handler-scheduled
+    /// same-tick event simply opens the next drain. The drain is kept
+    /// because it measurably pays: without it the 10,000-station
+    /// benchmark runs about a third slower (DESIGN.md §13).
     pub fn run(&mut self, duration: f64) {
         self.core.sync_ledger();
         self.medium.kickoff(&mut self.core);
-        let mut cohort: Vec<MacEv<M::Event>> = Vec::new();
+        let mut tick: Vec<MacEv<M::Event>> = Vec::new();
         while let Some(ev) = self.core.events.pop() {
             if ev.time > duration {
                 break;
             }
             self.core.stats.events_processed += 1;
-            cohort.clear();
-            cohort.push(ev.event);
-            if self.core.batch {
-                while self
-                    .core
-                    .events
-                    .peek_key()
-                    .is_some_and(|(t, _)| t == ev.time)
-                {
-                    let next = self.core.events.pop().expect("peeked non-empty");
-                    self.core.stats.events_processed += 1;
-                    cohort.push(next.event);
-                }
+            tick.clear();
+            tick.push(ev.event);
+            while self
+                .core
+                .events
+                .peek_key()
+                .is_some_and(|(t, _)| t == ev.time)
+            {
+                let next = self.core.events.pop().expect("peeked non-empty");
+                self.core.stats.events_processed += 1;
+                tick.push(next.event);
             }
-            if cohort.len() >= 2 {
+            if tick.len() >= 2 {
                 if let Some(p) = self.profile.as_deref_mut() {
                     p.cohorts += 1;
-                    p.cohort_max = p.cohort_max.max(cohort.len() as u64);
-                    p.cohort_hist[(cohort.len() - 1).min(15)] += 1;
-                }
-                let t0 = self.profile.as_deref().map(|_| std::time::Instant::now());
-                self.medium.prepare_cohort(&self.core, ev.time, &cohort);
-                if let (Some(t0), Some(p)) = (t0, self.profile.as_deref_mut()) {
-                    p.kernel_s += t0.elapsed().as_secs_f64();
+                    p.cohort_max = p.cohort_max.max(tick.len() as u64);
+                    p.cohort_hist[(tick.len() - 1).min(15)] += 1;
                 }
             }
-            for &e in &cohort {
+            for &e in &tick {
                 self.dispatch(e);
             }
         }
     }
 
     /// Dispatches one engine event — the single body behind both the
-    /// cohort loop above and the sharded merge loop.
+    /// drain loop above and the sharded merge loop.
     pub(crate) fn dispatch(&mut self, ev: MacEv<M::Event>) {
         match ev {
             MacEv::TxStart { sender } => self.on_tx_start(sender),
@@ -791,8 +754,7 @@ impl<M: Medium> MacEngine<M> {
             - p.medium_ev_s
             - p.transport_s
             - p.outcome_s
-            - p.sync_s
-            - p.kernel_s;
+            - p.sync_s;
         p
     }
 
@@ -1204,9 +1166,12 @@ mod tests {
     use super::*;
     use softrate_adapt::misc::FixedRate;
 
-    /// A loopback medium: one saturated sender on a perfect channel.
+    /// A loopback medium: `senders` saturated senders, one port each, on
+    /// a perfect channel.
     struct Loopback {
-        delivered: u64,
+        senders: usize,
+        /// Sender of every acknowledged frame, in dispatch order.
+        acked: Vec<usize>,
     }
 
     impl Medium for Loopback {
@@ -1214,11 +1179,13 @@ mod tests {
         type TxInfo = ();
 
         fn kickoff(&mut self, core: &mut MacCore<(), ()>) {
-            core.schedule_tx_start(0, None, CW_MIN);
+            for sender in 0..self.senders {
+                core.schedule_tx_start(sender, None, CW_MIN);
+            }
         }
 
-        fn pick_port(&mut self, _sender: usize) -> Option<usize> {
-            Some(0)
+        fn pick_port(&mut self, sender: usize) -> Option<usize> {
+            Some(sender)
         }
 
         fn carrier_sense(&mut self, _core: &MacCore<(), ()>, _sender: usize) -> Option<f64> {
@@ -1253,16 +1220,16 @@ mod tests {
             }
         }
 
-        fn on_acked(&mut self, core: &mut MacCore<(), ()>, _tx: &ActiveTx<()>) {
+        fn on_acked(&mut self, core: &mut MacCore<(), ()>, tx: &ActiveTx<()>) {
             core.stats.frames_delivered += 1;
-            self.delivered += 1;
+            self.acked.push(tx.sender);
         }
 
         fn on_dropped(&mut self, _core: &mut MacCore<(), ()>, _tx: &ActiveTx<()>) {}
 
         fn after_outcome(&mut self, core: &mut MacCore<(), ()>, sender: usize) {
             if !core.lanes.start_pending[sender] {
-                let cw = core.lanes.cw[0];
+                let cw = core.lanes.cw[sender];
                 core.schedule_tx_start(sender, None, cw);
             }
         }
@@ -1270,20 +1237,26 @@ mod tests {
         fn on_event(&mut self, _core: &mut MacCore<(), ()>, _ev: ()) {}
     }
 
-    fn engine() -> MacEngine<Loopback> {
+    fn engine(senders: usize) -> MacEngine<Loopback> {
         let params = MacParams {
             postambles: false,
             detect_prob: 0.8,
             backoff_seed: 7,
             collision_seed: 7,
         };
-        let ports = vec![Port::new(Box::new(FixedRate::new(3, 6)))];
-        MacEngine::new(1, ports, params, Loopback { delivered: 0 })
+        let ports = (0..senders)
+            .map(|_| Port::new(Box::new(FixedRate::new(3, 6))))
+            .collect();
+        let medium = Loopback {
+            senders,
+            acked: Vec::new(),
+        };
+        MacEngine::new(senders, ports, params, medium)
     }
 
     #[test]
     fn loopback_medium_saturates_the_engine() {
-        let mut e = engine();
+        let mut e = engine(1);
         e.run(0.5);
         assert!(
             e.core.stats.frames_sent > 100,
@@ -1298,38 +1271,53 @@ mod tests {
         assert_eq!(e.core.stats.audit.accurate, e.core.stats.frames_sent);
         // Each resolved frame is >= 3 events (TxStart, TxEnd, Outcome).
         assert!(e.core.stats.events_processed >= 3 * e.core.stats.frames_delivered);
-        assert_eq!(e.medium.delivered, e.core.stats.frames_delivered);
+        assert_eq!(e.medium.acked.len() as u64, e.core.stats.frames_delivered);
     }
 
     #[test]
     fn engine_runs_are_deterministic() {
-        let (mut a, mut b) = (engine(), engine());
+        let (mut a, mut b) = (engine(1), engine(1));
         a.run(0.3);
         b.run(0.3);
         assert_eq!(a.core.stats.frames_sent, b.core.stats.frames_sent);
         assert_eq!(a.core.stats.events_processed, b.core.stats.events_processed);
     }
 
+    /// The same-tick drain in [`MacEngine::run`] dispatches in exactly
+    /// the plain `(time, seq)` pop order: a reference loop that pops and
+    /// dispatches one event at a time must reach identical statistics and
+    /// acknowledge the same senders in the same order. Four senders
+    /// contending from the same backoff window tie often, so the drain
+    /// really does pop multi-event ticks here.
     #[test]
-    fn batch_off_is_byte_identical() {
-        let (mut on, mut off) = (engine(), engine());
-        off.core.batch = false;
-        on.run(0.3);
-        off.run(0.3);
-        assert_eq!(on.core.stats.frames_sent, off.core.stats.frames_sent);
-        assert_eq!(
-            on.core.stats.frames_delivered,
-            off.core.stats.frames_delivered
-        );
-        assert_eq!(
-            on.core.stats.events_processed,
-            off.core.stats.events_processed
-        );
+    fn same_tick_drain_matches_a_plain_pop_loop() {
+        let duration = 0.3;
+        let mut drained = engine(4);
+        let profile = drained.run_profiled(duration);
+        assert!(profile.cohorts > 0, "no same-tick events were drained");
+
+        let mut plain = engine(4);
+        plain.core.sync_ledger();
+        plain.medium.kickoff(&mut plain.core);
+        while let Some(ev) = plain.core.events.pop() {
+            if ev.time > duration {
+                break;
+            }
+            plain.core.stats.events_processed += 1;
+            plain.dispatch(ev.event);
+        }
+
+        let (a, b) = (&drained.core.stats, &plain.core.stats);
+        assert_eq!(a.frames_sent, b.frames_sent);
+        assert_eq!(a.frames_delivered, b.frames_delivered);
+        assert_eq!(a.collisions, b.collisions);
+        assert_eq!(a.events_processed, b.events_processed);
+        assert_eq!(drained.medium.acked, plain.medium.acked);
     }
 
     #[test]
     fn event_queue_is_preallocated_from_sender_count() {
-        let e = engine();
+        let e = engine(1);
         assert!(e.core.events.capacity() >= 8);
     }
 

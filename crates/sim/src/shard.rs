@@ -401,7 +401,6 @@ where
             .collect();
         let mut scratches: Vec<M::Scratch> =
             (0..shards).map(|_| self.medium.make_scratch()).collect();
-        let mut cohort: Vec<MacEv<M::Event>> = Vec::new();
 
         let mut horizon = h;
         'run: loop {
@@ -458,7 +457,6 @@ where
             // (time, seq) order, merging the sorted batches with the live
             // near queue. ----
             let mut cursor = vec![0usize; shards];
-            let mut prepared_t = f64::NAN;
             loop {
                 let mut best: Option<(f64, u64, Src)> = None;
                 for (d, lane) in lanes.iter().enumerate() {
@@ -481,39 +479,6 @@ where
                 };
                 if t > duration {
                     break 'run;
-                }
-                // Same-tick cohort prewarm across the lane batches: the
-                // lane wheels hold only channel-access events, so a tick
-                // that spans lanes is a TxStart cohort whose geometry and
-                // envelope memos one batched kernel sweep can warm before
-                // the members dispatch. Best-effort (near-queue events are
-                // only peekable, not readable) — prewarm is
-                // value-transparent, so partial coverage is still exact.
-                if self.core.batch && t != prepared_t {
-                    prepared_t = t;
-                    cohort.clear();
-                    for (d, lane) in lanes.iter().enumerate() {
-                        let mut i = cursor[d];
-                        while let Some(ev) = lane.batch.get(i) {
-                            if ev.time != t {
-                                break;
-                            }
-                            cohort.push(ev.event);
-                            i += 1;
-                        }
-                    }
-                    if cohort.len() >= 2 {
-                        let t0 = self.profile.as_deref().map(|_| std::time::Instant::now());
-                        self.medium.prepare_cohort(&self.core, t, &cohort);
-                        if let (Some(t0), Some(p)) = (t0, self.profile.as_deref_mut()) {
-                            p.kernel_s += t0.elapsed().as_secs_f64();
-                        }
-                        if let Some(p) = self.profile.as_deref_mut() {
-                            p.cohorts += 1;
-                            p.cohort_max = p.cohort_max.max(cohort.len() as u64);
-                            p.cohort_hist[(cohort.len() - 1).min(15)] += 1;
-                        }
-                    }
                 }
                 let (event, pre) = match src {
                     Src::Near => (self.core.events.pop().expect("peeked").event, NO_SENSE),
@@ -541,20 +506,7 @@ where
                         };
                         self.on_tx_start_with(sender, inj);
                     }
-                    MacEv::TxEnd { tx } => self.on_tx_end(tx),
-                    MacEv::Outcome { tx } => self.on_outcome(tx),
-                    MacEv::Medium(e) => {
-                        let t0 = self.profile.as_deref().map(|_| std::time::Instant::now());
-                        let transport = t0.is_some() && self.medium.event_is_transport(&e);
-                        self.medium.on_event(&mut self.core, e);
-                        if let (Some(t0), Some(p)) = (t0, self.profile.as_deref_mut()) {
-                            if transport {
-                                p.transport_s += t0.elapsed().as_secs_f64();
-                            } else {
-                                p.medium_ev_s += t0.elapsed().as_secs_f64();
-                            }
-                        }
-                    }
+                    other => self.dispatch(other),
                 }
             }
 

@@ -233,125 +233,6 @@ proptest! {
     }
 }
 
-// ---- Batched channel kernels (contiguous-lane SoA hot path) ------------
-//
-// The batched Jakes (`gain_many`/`gain_x4`) and BER/success
-// (`ber_success_many`/`eval_many`) kernels must be *bit-identical* to
-// their scalar counterparts over arbitrary inputs — that is the whole
-// argument for why cohort-batched dispatch cannot move a result byte.
-// The generated SNRs deliberately include the oracle guard-band edges
-// (`snr_star ± {0, 1, 2} µdB`, the thresholds `OracleBands` pads by
-// `ORACLE_GUARD_DB = 1e-6`), where an almost-right kernel would diverge
-// first.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn gain_many_matches_scalar_gain_bit_for_bit(
-        seed in any::<u64>(),
-        doppler in 0.0f64..500.0,
-        ts in proptest::collection::vec(0.0f64..100.0, 0..24),
-    ) {
-        use softrate::channel::jakes::JakesFading;
-        use softrate::phy::complex::Complex;
-        let j = JakesFading::new(doppler, seed);
-        let mut out = vec![Complex::new(0.0, 0.0); ts.len()];
-        j.gain_many(&ts, &mut out);
-        for (t, o) in ts.iter().zip(&out) {
-            let s = j.gain(*t);
-            prop_assert_eq!(o.re.to_bits(), s.re.to_bits(), "re at t={}", t);
-            prop_assert_eq!(o.im.to_bits(), s.im.to_bits(), "im at t={}", t);
-            prop_assert!(o.re.is_finite() && o.im.is_finite());
-        }
-    }
-
-    #[test]
-    fn gain_x4_matches_scalar_gain_bit_for_bit(
-        seeds in proptest::collection::vec(any::<u64>(), 4..5),
-        doppler in 0.0f64..500.0,
-        ts in proptest::collection::vec(0.0f64..50.0, 4..5),
-    ) {
-        use softrate::channel::jakes::JakesFading;
-        let js: Vec<JakesFading> =
-            seeds.iter().map(|&s| JakesFading::new(doppler, s)).collect();
-        let ts = [ts[0], ts[1], ts[2], ts[3]];
-        let g = JakesFading::gain_x4([&js[0], &js[1], &js[2], &js[3]], ts);
-        for l in 0..4 {
-            let s = js[l].gain(ts[l]);
-            prop_assert_eq!(g[l].re.to_bits(), s.re.to_bits(), "lane {}", l);
-            prop_assert_eq!(g[l].im.to_bits(), s.im.to_bits(), "lane {}", l);
-        }
-    }
-
-    #[test]
-    fn batched_ber_kernels_match_scalar_bit_for_bit_including_guard_bands(
-        raw in proptest::collection::vec(any::<u64>(), 0..24),
-        edges in proptest::collection::vec(any::<u64>(), 0..12),
-    ) {
-        use softrate::channel::analytic::{
-            analytic_ber, ber_success_many, frame_success_prob, FrameSuccessMemo,
-            HEADER_FAIL_BER, REQUIRED_SNR_DB,
-        };
-        const FRAME_BITS: [usize; 3] = [8_000, 11_520, 12_256];
-        let mut snrs = Vec::new();
-        let mut rates = Vec::new();
-        let mut bits = Vec::new();
-        // Each word packs one lane: a millidecibel SNR in [-10, 40], a
-        // rate index, and a frame-size choice.
-        for &w in &raw {
-            let snr = -10.0 + (w % 50_001) as f64 * 1e-3;
-            let r = ((w >> 20) % 6) as usize;
-            let b = ((w >> 40) % 3) as usize;
-            snrs.push(snr);
-            rates.push(r as u32);
-            bits.push(FRAME_BITS[b] as u64);
-        }
-        // The oracle guard-band edges: exact thresholds and ±1/±2 µdB —
-        // the 1e-6 dB pads OracleBands uses. NaN-free by construction
-        // (finite req, finite blim > 1e-9).
-        for &w in &edges {
-            let r = (w % 6) as usize;
-            let k = ((w >> 8) % 5) as usize;
-            let fb = 11_520usize;
-            let blim =
-                HEADER_FAIL_BER.min(1.0 - 0.95f64.powf(1.0 / fb as f64));
-            if blim <= 1e-9 {
-                continue;
-            }
-            let snr_star = REQUIRED_SNR_DB[r] + (-blim.log10() - 6.0) / 1.5;
-            let snr = snr_star + [0.0, 1e-6, -1e-6, 2e-6, -2e-6][k];
-            prop_assert!(snr.is_finite());
-            snrs.push(snr);
-            rates.push(r as u32);
-            bits.push(fb as u64);
-        }
-        // The free batched kernel against the scalar kernels.
-        let mut out = vec![(0.0, 0.0); snrs.len()];
-        ber_success_many(&snrs, &rates, &bits, &mut out);
-        for i in 0..snrs.len() {
-            let ber = analytic_ber(snrs[i], rates[i] as usize);
-            let p = frame_success_prob(ber, bits[i] as usize);
-            prop_assert_eq!(out[i].0.to_bits(), ber.to_bits(), "ber lane {}", i);
-            prop_assert_eq!(out[i].1.to_bits(), p.to_bits(), "success lane {}", i);
-            prop_assert!(out[i].0.is_finite() && out[i].1.is_finite());
-        }
-        // The memoized batch probe against both the scalar kernels and a
-        // scalar memo walked over the same keys in order.
-        let mut batch_memo = FrameSuccessMemo::new();
-        let mut batch_out = vec![(0.0, 0.0); snrs.len()];
-        batch_memo.eval_many(&snrs, &rates, &bits, &mut batch_out);
-        let mut scalar_memo = FrameSuccessMemo::new();
-        for i in 0..snrs.len() {
-            let scalar =
-                scalar_memo.ber_and_success(snrs[i], rates[i] as usize, bits[i] as usize);
-            prop_assert_eq!(batch_out[i].0.to_bits(), scalar.0.to_bits(), "memo ber {}", i);
-            prop_assert_eq!(batch_out[i].1.to_bits(), scalar.1.to_bits(), "memo p {}", i);
-            prop_assert_eq!(batch_out[i].0.to_bits(), out[i].0.to_bits());
-            prop_assert_eq!(batch_out[i].1.to_bits(), out[i].1.to_bits());
-        }
-    }
-}
-
 // ---- Pruned AP association ----------------------------------------------
 //
 // `SpatialParams::best_ap` evaluates the exact path-loss expression only

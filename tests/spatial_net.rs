@@ -196,17 +196,6 @@ fn roaming_tcp_download_delivers_across_handoffs_under_both_policies() {
 /// recorder attached and returns every observable byte stream: results
 /// JSONL, interval-metrics JSONL, and the rate-decision ledger JSONL.
 fn all_streams(spec: &softrate::scenario::spec::ScenarioSpec, shards: usize) -> [String; 3] {
-    all_streams_opts(spec, shards, false)
-}
-
-/// [`all_streams`] with the cohort-batching escape hatch exposed, so the
-/// batched-vs-unbatched equality tests share the exact harness the
-/// shard-invariance tests run under.
-fn all_streams_opts(
-    spec: &softrate::scenario::spec::ScenarioSpec,
-    shards: usize,
-    batch_off: bool,
-) -> [String; 3] {
     let plans = expand(spec).expect("expands");
     let opts = RunOptions {
         threads: Some(1),
@@ -216,7 +205,6 @@ fn all_streams_opts(
         }),
         shards,
         shard_workers: None,
-        batch_off,
     };
     let results = run_all_with_options(&plans, &opts);
     let jsonl = to_jsonl(&results.iter().map(|(r, _)| r.clone()).collect::<Vec<_>>());
@@ -264,31 +252,6 @@ fn roaming_tcp_download_is_byte_identical_across_shard_counts() {
                 "{name} JSONL must be byte-identical at {shards} shards"
             );
         }
-    }
-}
-
-/// Acceptance: `--batch off` — cohort width 1 through the identical
-/// dispatch path, no memo prewarm — is byte-identical to the default
-/// batched dispatch on the dense UDP builtin, across every observable
-/// stream, sequential and sharded alike. This is the escape hatch's
-/// contract: batching is a wall-clock lever, never a results lever.
-#[test]
-fn dense_enterprise_is_byte_identical_with_batching_off() {
-    let mut spec = dense();
-    spec.duration = 0.5;
-    let batched = all_streams_opts(&spec, 1, false);
-    assert!(batched.iter().all(|s| !s.is_empty()));
-    let unbatched = all_streams_opts(&spec, 1, true);
-    let sharded_unbatched = all_streams_opts(&spec, 2, true);
-    for (i, name) in ["results", "metrics", "decisions"].iter().enumerate() {
-        assert_eq!(
-            batched[i], unbatched[i],
-            "{name} JSONL must be byte-identical with --batch off"
-        );
-        assert_eq!(
-            batched[i], sharded_unbatched[i],
-            "{name} JSONL must be byte-identical with --batch off at 2 shards"
-        );
     }
 }
 
