@@ -553,13 +553,13 @@ pub fn run_all_checked(plans: &[RunPlan], opts: &RunOptions) -> Vec<RunOutcome> 
 pub fn outcomes_to_jsonl(outcomes: &[RunOutcome]) -> String {
     let mut out = String::new();
     for o in outcomes {
-        let line = match o {
-            Ok((r, _)) => serde_json::to_string(r).expect("results serialize"),
-            Err(f) => serde_json::to_string(f.as_ref()).expect("failed-run rows serialize"),
-        };
-        out.push_str(&line);
+        match o {
+            Ok((r, _)) => serde_json::append(&mut out, r),
+            Err(f) => serde_json::append(&mut out, f.as_ref()),
+        }
         out.push('\n');
     }
+    out.shrink_to_fit();
     out
 }
 
@@ -669,9 +669,10 @@ pub fn run_spec(spec: &ScenarioSpec, threads: Option<usize>) -> Result<Vec<RunRe
 pub fn to_jsonl(results: &[RunResult]) -> String {
     let mut out = String::new();
     for r in results {
-        out.push_str(&serde_json::to_string(r).expect("results serialize"));
+        serde_json::append(&mut out, r);
         out.push('\n');
     }
+    out.shrink_to_fit();
     out
 }
 

@@ -3,9 +3,19 @@
 //! The `proptest!` macro here expands each property into a plain `#[test]`
 //! that samples its arguments from a deterministic RNG (seeded from the
 //! test name) for `ProptestConfig::cases` iterations. There is no
-//! shrinking; a failing case panics with the ordinary assert message.
+//! shrinking. A failing case panics with the ordinary assert message plus
+//! the property's name, the case index and the seed; setting
+//! `PROPTEST_CASE=<index>` runs only that case of each property (the
+//! earlier cases are still sampled, unrun, so case `k` sees the same
+//! arguments as in the full run):
+//!
+//! ```text
+//! PROPTEST_CASE=17 cargo test --test property_tests crc_roundtrip
+//! ```
 
 #![forbid(unsafe_code)]
+
+use std::panic::{self, AssertUnwindSafe};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -30,18 +40,69 @@ impl Default for ProptestConfig {
     }
 }
 
+/// The environment variable that selects the one case to replay.
+pub const REPLAY_VAR: &str = "PROPTEST_CASE";
+
 /// Deterministic per-test RNG.
 pub struct TestRng(SmallRng);
 
 impl TestRng {
     /// Seeds from the test name, so each property gets a stable stream.
     pub fn new(name: &str) -> Self {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        TestRng(SmallRng::seed_from_u64(seed_of(name)))
+    }
+}
+
+/// A property's RNG seed: the FNV-1a hash of its full name.
+pub fn seed_of(name: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in name.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// The case index [`REPLAY_VAR`] selects, if it is set.
+pub fn replay_case() -> Option<u32> {
+    let text = std::env::var(REPLAY_VAR).ok()?;
+    Some(
+        text.trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("{REPLAY_VAR}={text:?} is not a case index")),
+    )
+}
+
+/// Runs property `name`: draws each case's arguments with `sample` from
+/// the property's RNG and checks them with `check`. With `replay =
+/// Some(k)` only case `k` is checked. A failing case re-panics with its
+/// original message followed by the name, case index and seed.
+pub fn run_property<A>(
+    name: &str,
+    config: &ProptestConfig,
+    replay: Option<u32>,
+    mut sample: impl FnMut(&mut TestRng) -> A,
+    mut check: impl FnMut(A),
+) {
+    let mut rng = TestRng::new(name);
+    let cases = replay.map_or(config.cases, |k| k + 1);
+    for case in 0..cases {
+        let args = sample(&mut rng);
+        if replay.is_some_and(|k| k != case) {
+            continue;
         }
-        TestRng(SmallRng::seed_from_u64(h))
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| check(args))) {
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("(non-string panic payload)");
+            panic!(
+                "{msg}\nproptest: property `{name}` failed at case {case} \
+                 (seed {:#018x}); run only this case with {REPLAY_VAR}={case}",
+                seed_of(name)
+            );
+        }
     }
 }
 
@@ -187,11 +248,13 @@ macro_rules! __proptest_impl {
         #[test]
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
-            let mut rng = $crate::TestRng::new(concat!(module_path!(), "::", stringify!($name)));
-            for _case in 0..config.cases {
-                $(let $arg = $crate::Strategy::sample(&($strat), &mut rng);)*
-                $body
-            }
+            $crate::run_property(
+                concat!(module_path!(), "::", stringify!($name)),
+                &config,
+                $crate::replay_case(),
+                |rng| ($($crate::Strategy::sample(&($strat), rng),)*),
+                |($($arg,)*)| $body,
+            );
         }
     )*};
 }
@@ -199,6 +262,54 @@ macro_rules! __proptest_impl {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
+    use crate::{run_property, seed_of, TestRng};
+    use rand::RngCore;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Runs a property whose case fails when its draw is 7, returning the
+    /// draws checked and the failure message.
+    fn forced_failure(replay: Option<u32>) -> (Vec<u64>, String) {
+        let mut checked = Vec::new();
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            run_property(
+                "shim::forced",
+                &ProptestConfig::with_cases(64),
+                replay,
+                |rng: &mut TestRng| rng.next_u64() % 8,
+                |x| {
+                    checked.push(x);
+                    assert_ne!(x, 7, "drew a seven");
+                },
+            )
+        }))
+        .expect_err("some case of 64 draws a seven");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        (checked, msg)
+    }
+
+    #[test]
+    fn a_failure_names_its_case_and_replays_alone() {
+        let (checked, msg) = forced_failure(None);
+        let case = checked.len() - 1;
+        assert_eq!(checked[case], 7);
+        let seed = format!("{:#018x}", seed_of("shim::forced"));
+        for part in [
+            "drew a seven",
+            "property `shim::forced`",
+            &format!("failed at case {case} "),
+            &seed,
+            &format!("PROPTEST_CASE={case}"),
+        ] {
+            assert!(msg.contains(part), "{part:?} missing from {msg:?}");
+        }
+        // Replaying the case checks it alone, with the same draw.
+        let (replayed, again) = forced_failure(Some(case as u32));
+        assert_eq!(replayed, vec![7]);
+        assert_eq!(again, msg);
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]

@@ -1,14 +1,24 @@
 //! Offline stand-in for `serde` (see `crates/shims/README.md`).
 //!
 //! The real serde abstracts over serializers with a visitor architecture;
-//! this shim routes everything through one self-describing [`Value`] tree,
-//! which is all the workspace needs (JSON + TOML round-trips of plain data
-//! types). [`Serialize`]/[`Deserialize`] are implemented for the primitive
-//! types, `String`, `Option`, `Vec`, tuples, and references; derived impls
-//! for structs and enums come from the sibling `serde_derive` shim and use
-//! the same externally-tagged enum representation as real serde.
+//! this shim has two paths, which is all the workspace needs (JSON + TOML
+//! round-trips of plain data types):
+//!
+//! - [`Serialize::write_json`] appends compact JSON straight to a
+//!   `String`. It is the JSON output path: no intermediate tree, no
+//!   per-field allocation.
+//! - [`Serialize::to_value`] / [`Deserialize::from_value`] go through one
+//!   self-describing [`Value`] tree, which serves pretty printing, TOML
+//!   and every deserializer.
+//!
+//! Both are implemented for the primitive types, `String`, `Option`,
+//! `Vec`, tuples, and references; derived impls for structs and enums
+//! come from the sibling `serde_derive` shim and use the same
+//! externally-tagged enum representation as real serde, on both paths.
 
 #![forbid(unsafe_code)]
+
+use std::fmt::Write as _;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -106,10 +116,28 @@ impl std::fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Serialization into a [`Value`].
+/// Serialization into a [`Value`] or straight to compact JSON.
 pub trait Serialize {
     /// Converts `self` into the self-describing value tree.
     fn to_value(&self) -> Value;
+
+    /// Appends `self` as compact JSON: the bytes `to_value` followed by
+    /// the compact writer would give, without building the tree.
+    fn write_json(&self, out: &mut String) {
+        self.to_value().write_json(out);
+    }
+}
+
+/// Appends `items` as a JSON array.
+fn write_json_seq<T: Serialize>(out: &mut String, items: &[T]) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
 }
 
 /// Deserialization from a [`Value`].
@@ -162,6 +190,31 @@ impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
+
+    /// The compact JSON writer for a tree: written in place, no clone.
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => b.write_json(out),
+            Value::Int(i) => i.write_json(out),
+            Value::UInt(u) => u.write_json(out),
+            Value::Float(f) => f.write_json(out),
+            Value::Str(s) => s.write_json(out),
+            Value::Seq(items) => write_json_seq(out, items),
+            Value::Map(entries) => {
+                out.push('{');
+                for (i, (k, v)) in entries.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    k.write_json(out);
+                    out.push(':');
+                    v.write_json(out);
+                }
+                out.push('}');
+            }
+        }
+    }
 }
 
 impl Deserialize for Value {
@@ -173,6 +226,10 @@ impl Deserialize for Value {
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -205,6 +262,10 @@ macro_rules! impl_int {
                     Value::Int(wide as i64)
                 }
             }
+
+            fn write_json(&self, out: &mut String) {
+                write!(out, "{self}").expect("writing to a String cannot fail");
+            }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -221,6 +282,22 @@ impl_int!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Float(*self)
+    }
+
+    /// Rust's shortest-roundtrip `Display`, with `.0` appended when that
+    /// text has no `.`, `e` or `E`, so the number re-parses as a float
+    /// (real serde_json does the same via ryu: 3 -> "3.0"). Non-finite
+    /// floats become `null`, as in real serde_json.
+    fn write_json(&self, out: &mut String) {
+        if !self.is_finite() {
+            out.push_str("null");
+            return;
+        }
+        let start = out.len();
+        write!(out, "{self}").expect("writing to a String cannot fail");
+        if !out[start..].contains(['.', 'e', 'E']) {
+            out.push_str(".0");
+        }
     }
 }
 
@@ -239,6 +316,10 @@ impl Serialize for f32 {
     fn to_value(&self) -> Value {
         Value::Float(*self as f64)
     }
+
+    fn write_json(&self, out: &mut String) {
+        (*self as f64).write_json(out);
+    }
 }
 
 impl Deserialize for f32 {
@@ -250,6 +331,10 @@ impl Deserialize for f32 {
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
     }
 }
 
@@ -266,6 +351,32 @@ impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
     }
+
+    /// A quoted JSON string. Quote, backslash, newline, tab and carriage
+    /// return get two-character escapes, other control characters
+    /// `\u00XX`; everything else, non-ASCII included, is copied as is.
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        let mut clean = 0;
+        // Every escaped byte is ASCII, so each `i` is a char boundary.
+        for (i, b) in self.bytes().enumerate() {
+            if b >= 0x20 && b != b'"' && b != b'\\' {
+                continue;
+            }
+            out.push_str(&self[clean..i]);
+            match b {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\t' => out.push_str("\\t"),
+                b'\r' => out.push_str("\\r"),
+                _ => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+            }
+            clean = i + 1;
+        }
+        out.push_str(&self[clean..]);
+        out.push('"');
+    }
 }
 
 impl Deserialize for &'static str {
@@ -281,6 +392,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
@@ -288,6 +403,13 @@ impl<T: Serialize> Serialize for Option<T> {
         match self {
             Some(t) => t.to_value(),
             None => Value::Null,
+        }
+    }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(t) => t.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -305,6 +427,10 @@ impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_json_seq(out, self);
+    }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
@@ -317,11 +443,19 @@ impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_json_seq(out, self);
+    }
 }
 
 impl<T: Serialize> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -336,6 +470,17 @@ macro_rules! impl_tuple {
         impl<$($t: Serialize),*> Serialize for ($($t,)*) {
             fn to_value(&self) -> Value {
                 Value::Seq(vec![$(self.$idx.to_value()),*])
+            }
+
+            fn write_json(&self, out: &mut String) {
+                out.push('[');
+                $(
+                    if $idx > 0 {
+                        out.push(',');
+                    }
+                    self.$idx.write_json(out);
+                )*
+                out.push(']');
             }
         }
         impl<$($t: Deserialize),*> Deserialize for ($($t,)*) {

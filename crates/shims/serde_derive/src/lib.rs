@@ -4,7 +4,9 @@
 //! stream of a non-generic `struct` with named fields or an `enum` whose
 //! variants are unit / named-field / tuple shaped, and emits impls of the
 //! serde shim's `Serialize` / `Deserialize` traits using the same
-//! externally-tagged enum representation as real serde.
+//! externally-tagged enum representation as real serde. `Serialize` gets
+//! both `to_value` and a `write_json` that appends the same JSON text
+//! directly, field names and variant tags baked in as literals.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -31,7 +33,7 @@ enum VariantKind {
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let (name, shape) = parse_item(input);
-    let body = match &shape {
+    let to_value = match &shape {
         Shape::Struct(fields) => {
             let pairs: Vec<String> = fields
                 .iter()
@@ -49,9 +51,17 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             format!("match self {{ {} }}", arms.join(" "))
         }
     };
+    let write_json = match &shape {
+        Shape::Struct(fields) => json_object(fields, |f| format!("&self.{f}")),
+        Shape::Enum(variants) => {
+            let arms: Vec<String> = variants.iter().map(|v| json_arm(&name, v)).collect();
+            format!("match self {{ {} }}", arms.join(" "))
+        }
+    };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+             fn to_value(&self) -> ::serde::Value {{ {to_value} }}\n\
+             fn write_json(&self, out: &mut ::std::string::String) {{ {write_json} }}\n\
          }}"
     )
     .parse()
@@ -135,6 +145,59 @@ fn ser_arm(name: &str, v: &Variant) -> String {
             format!(
                 "{name}::{tag}({}) => ::serde::Value::Map(::std::vec![\
                      (::std::string::String::from(\"{tag}\"), {payload})]),",
+                binds.join(", ")
+            )
+        }
+    }
+}
+
+/// Statements appending `{"f":<expr f>,...}` to `out`. Field names are
+/// Rust identifiers, so they need no escaping.
+fn json_object(fields: &[String], expr: impl Fn(&str) -> String) -> String {
+    let mut code = String::new();
+    for (i, f) in fields.iter().enumerate() {
+        let open = if i == 0 { "{" } else { "," };
+        code += &format!(
+            "out.push_str(\"{open}\\\"{f}\\\":\"); \
+             ::serde::Serialize::write_json({}, out); ",
+            expr(f)
+        );
+    }
+    code += if fields.is_empty() {
+        "out.push_str(\"{}\");"
+    } else {
+        "out.push('}');"
+    };
+    code
+}
+
+/// One `match self` arm of a Serialize impl's `write_json`: the same
+/// externally tagged shapes as [`ser_arm`].
+fn json_arm(name: &str, v: &Variant) -> String {
+    let tag = &v.name;
+    match &v.kind {
+        VariantKind::Unit => format!("{name}::{tag} => out.push_str(\"\\\"{tag}\\\"\"),"),
+        VariantKind::Named(fields) => format!(
+            "{name}::{tag} {{ {} }} => {{ out.push_str(\"{{\\\"{tag}\\\":\"); {} out.push('}}'); }}",
+            fields.join(", "),
+            json_object(fields, str::to_string)
+        ),
+        VariantKind::Tuple(n) => {
+            let binds: Vec<String> = (0..*n).map(|i| format!("x{i}")).collect();
+            let payload = if *n == 1 {
+                "::serde::Serialize::write_json(x0, out);".to_string()
+            } else {
+                let items: Vec<String> = binds
+                    .iter()
+                    .map(|b| format!("::serde::Serialize::write_json({b}, out);"))
+                    .collect();
+                format!(
+                    "out.push('['); {} out.push(']');",
+                    items.join(" out.push(','); ")
+                )
+            };
+            format!(
+                "{name}::{tag}({}) => {{ out.push_str(\"{{\\\"{tag}\\\":\"); {payload} out.push('}}'); }}",
                 binds.join(", ")
             )
         }

@@ -1,9 +1,11 @@
 //! Offline stand-in for `serde_json` (see `crates/shims/README.md`).
 //!
-//! Serializes the serde shim's `Value` tree to JSON and parses JSON back.
-//! Output is deterministic: map order is insertion order and floats use
-//! Rust's shortest-roundtrip `Display` (non-finite floats become `null`,
-//! as in real serde_json).
+//! Compact output comes straight from [`Serialize::write_json`], with no
+//! intermediate tree; pretty output walks the serde shim's `Value` tree
+//! and shares its scalar formatter and string escaper. Output is
+//! deterministic: map order is insertion order and floats use Rust's
+//! shortest-roundtrip `Display` (non-finite floats become `null`, as in
+//! real serde_json). JSON is parsed back through the `Value` tree.
 
 #![forbid(unsafe_code)]
 
@@ -30,14 +32,20 @@ impl From<DeError> for Error {
 /// Serializes a value to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
+    value.write_json(&mut out);
     Ok(out)
+}
+
+/// Appends a value's compact JSON to `out`, so many rows can be rendered
+/// into one buffer.
+pub fn append<T: Serialize + ?Sized>(out: &mut String, value: &T) {
+    value.write_json(out);
 }
 
 /// Serializes a value to 2-space-indented JSON.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
+    write_pretty(&mut out, &value.to_value(), 0);
     Ok(out)
 }
 
@@ -47,107 +55,49 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     T::from_value(&value).map_err(Error::from)
 }
 
-// --- writer -----------------------------------------------------------------
+// --- pretty writer ----------------------------------------------------------
 
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize) {
+const INDENT: usize = 2;
+
+fn write_pretty(out: &mut String, v: &Value, level: usize) {
     match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                let s = f.to_string();
-                out.push_str(&s);
-                // Keep floats recognizable as floats on re-parse (real
-                // serde_json does the same via ryu): 3 -> "3.0".
-                if !s.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            } else {
-                out.push_str("null");
-            }
+        Value::Seq(items) if !items.is_empty() => {
+            write_delimited(out, level, '[', ']', items, |out, item, lvl| {
+                write_pretty(out, item, lvl);
+            });
         }
-        Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => {
-            write_delimited(
-                out,
-                indent,
-                level,
-                '[',
-                ']',
-                items.len(),
-                |out, i, ind, lvl| {
-                    write_value(out, &items[i], ind, lvl);
-                },
-            );
+        Value::Map(entries) if !entries.is_empty() => {
+            write_delimited(out, level, '{', '}', entries, |out, (k, v), lvl| {
+                k.write_json(out);
+                out.push_str(": ");
+                write_pretty(out, v, lvl);
+            });
         }
-        Value::Map(entries) => {
-            write_delimited(
-                out,
-                indent,
-                level,
-                '{',
-                '}',
-                entries.len(),
-                |out, i, ind, lvl| {
-                    write_string(out, &entries[i].0);
-                    out.push(':');
-                    if ind.is_some() {
-                        out.push(' ');
-                    }
-                    write_value(out, &entries[i].1, ind, lvl);
-                },
-            );
-        }
+        // Scalars and empty containers read the same compact or pretty.
+        other => other.write_json(out),
     }
 }
 
-fn write_delimited(
+fn write_delimited<T>(
     out: &mut String,
-    indent: Option<usize>,
     level: usize,
     open: char,
     close: char,
-    n: usize,
-    mut item: impl FnMut(&mut String, usize, Option<usize>, usize),
+    items: &[T],
+    mut item: impl FnMut(&mut String, &T, usize),
 ) {
     out.push(open);
-    if n == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..n {
+    for (i, it) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        if let Some(w) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(w * (level + 1)));
-        }
-        item(out, i, indent, level + 1);
-    }
-    if let Some(w) = indent {
         out.push('\n');
-        out.push_str(&" ".repeat(w * level));
+        out.push_str(&" ".repeat(INDENT * (level + 1)));
+        item(out, it, level + 1);
     }
+    out.push('\n');
+    out.push_str(&" ".repeat(INDENT * level));
     out.push(close);
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // --- parser -----------------------------------------------------------------
@@ -421,5 +371,131 @@ mod tests {
     fn unicode_passthrough() {
         let v = parse_value("\"héllo ☃\"").unwrap();
         assert_eq!(v, Value::Str("héllo ☃".to_string()));
+    }
+
+    // --- derived writer vs the tree writer ----------------------------------
+
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    enum Shape {
+        Unit,
+        Named { label: String, weight: f64 },
+        One(Option<u64>),
+        Many(i64, String, Vec<f32>),
+    }
+
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    struct Fixture {
+        text: String,
+        flag: bool,
+        big: u64,
+        small: i64,
+        byte: u8,
+        floats: Vec<f64>,
+        some: Option<f64>,
+        none: Option<String>,
+        shapes: Vec<Shape>,
+        grid: Vec<Vec<u16>>,
+        pair: (u32, String),
+        boxed: Box<Shape>,
+        tree: Vec<(String, Value)>,
+    }
+
+    const AWKWARD: &str = "q\" b\\ n\n t\t r\r c\u{1}\u{1f} d\u{7f} héllo ☃ 𝄞";
+    const AWKWARD_JSON: &str = "\"q\\\" b\\\\ n\\n t\\t r\\r c\\u0001\\u001f d\u{7f} héllo ☃ 𝄞\"";
+
+    fn fixture(floats: Vec<f64>) -> Fixture {
+        Fixture {
+            text: AWKWARD.to_string(),
+            flag: true,
+            big: u64::MAX,
+            small: i64::MIN,
+            byte: 255,
+            floats,
+            some: Some(-2.5),
+            none: None,
+            shapes: vec![
+                Shape::Unit,
+                Shape::Named {
+                    label: AWKWARD.to_string(),
+                    weight: 3.0,
+                },
+                Shape::One(None),
+                Shape::One(Some(7)),
+                Shape::Many(-1, String::new(), vec![0.1, 2.0]),
+                Shape::Many(0, "x".to_string(), vec![]),
+            ],
+            grid: vec![vec![], vec![1], vec![2, 3]],
+            pair: (9, "p".to_string()),
+            boxed: Box::new(Shape::One(Some(0))),
+            tree: vec![
+                ("f".to_string(), Value::Float(3.0)),
+                ("u".to_string(), Value::UInt(u64::MAX)),
+                (
+                    "m".to_string(),
+                    Value::Map(vec![
+                        (
+                            "s".to_string(),
+                            Value::Seq(vec![Value::Null, Value::Bool(false)]),
+                        ),
+                        ("k\"ey".to_string(), Value::Str(AWKWARD.to_string())),
+                    ]),
+                ),
+            ],
+        }
+    }
+
+    /// Compact JSON of `x` by the derived writer, checked against the
+    /// tree writer.
+    fn written(x: &Fixture) -> String {
+        let text = to_string(x).unwrap();
+        assert_eq!(text, to_string(&x.to_value()).unwrap());
+        text
+    }
+
+    #[test]
+    fn derived_writer_matches_the_tree_writer_and_round_trips() {
+        let x = fixture(vec![3.0, -0.0, 1e300, 1e-7, 0.1 + 0.2]);
+        let text = written(&x);
+        assert_eq!(parse_value(&text).unwrap(), x.to_value());
+        assert_eq!(from_str::<Fixture>(&text).unwrap(), x);
+        let pretty = to_string_pretty(&x).unwrap();
+        assert_eq!(parse_value(&pretty).unwrap(), x.to_value());
+    }
+
+    #[test]
+    fn non_finite_floats_are_null_on_both_writers() {
+        let x = fixture(vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        assert!(written(&x).contains("\"floats\":[null,null,null]"));
+    }
+
+    #[test]
+    fn written_text_is_pinned() {
+        assert_eq!(
+            to_string(&vec![3.0, -0.0, 1e-7, 0.5]).unwrap(),
+            "[3.0,-0.0,0.0000001,0.5]"
+        );
+        assert_eq!(
+            to_string(&1e300).unwrap(),
+            format!("1{}.0", "0".repeat(300))
+        );
+        assert_eq!(
+            to_string(&(u64::MAX, i64::MIN)).unwrap(),
+            "[18446744073709551615,-9223372036854775808]"
+        );
+        assert_eq!(to_string(AWKWARD).unwrap(), AWKWARD_JSON);
+        let shapes = &fixture(vec![]).shapes;
+        assert_eq!(
+            to_string(shapes).unwrap(),
+            format!(
+                "[\"Unit\",{{\"Named\":{{\"label\":{AWKWARD_JSON},\"weight\":3.0}}}},\
+                 {{\"One\":null}},{{\"One\":7}},{{\"Many\":[-1,\"\",[0.10000000149011612,2.0]]}},\
+                 {{\"Many\":[0,\"x\",[]]}}]"
+            )
+        );
+        let mut out = String::new();
+        append(&mut out, &Some(1.5f32));
+        out.push('\n');
+        append(&mut out, "x");
+        assert_eq!(out, "1.5\n\"x\"");
     }
 }

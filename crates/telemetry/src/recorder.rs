@@ -152,51 +152,38 @@ impl TelemetryReport {
     /// re-associations, one JSON object per line.
     pub fn metrics_jsonl(&self) -> String {
         let mut out = String::new();
-        for r in &self.intervals {
-            out.push_str(&serde_json::to_string(r).expect("interval row serializes"));
-            out.push('\n');
-        }
-        for r in &self.totals {
-            out.push_str(&serde_json::to_string(r).expect("totals row serializes"));
-            out.push('\n');
-        }
-        for r in &self.hists {
-            out.push_str(&serde_json::to_string(r).expect("hist row serializes"));
-            out.push('\n');
-        }
-        for r in &self.anomalies {
-            out.push_str(&serde_json::to_string(r).expect("anomaly row serializes"));
-            out.push('\n');
-        }
-        for r in &self.faults {
-            out.push_str(&serde_json::to_string(r).expect("fault row serializes"));
-            out.push('\n');
-        }
-        for r in &self.reassocs {
-            out.push_str(&serde_json::to_string(r).expect("reassoc row serializes"));
-            out.push('\n');
-        }
+        push_lines(&mut out, &self.intervals);
+        push_lines(&mut out, &self.totals);
+        push_lines(&mut out, &self.hists);
+        push_lines(&mut out, &self.anomalies);
+        push_lines(&mut out, &self.faults);
+        push_lines(&mut out, &self.reassocs);
+        out.shrink_to_fit();
         out
     }
 
     /// The trace stream: frame-lifecycle rows, one JSON object per line.
     pub fn trace_jsonl(&self) -> String {
         let mut out = String::new();
-        for r in &self.trace {
-            out.push_str(&serde_json::to_string(r).expect("trace row serializes"));
-            out.push('\n');
-        }
+        push_lines(&mut out, &self.trace);
+        out.shrink_to_fit();
         out
     }
 
     /// The decision ledger: one JSON object per rate decision.
     pub fn decisions_jsonl(&self) -> String {
         let mut out = String::new();
-        for r in &self.decisions {
-            out.push_str(&serde_json::to_string(r).expect("decision row serializes"));
-            out.push('\n');
-        }
+        push_lines(&mut out, &self.decisions);
+        out.shrink_to_fit();
         out
+    }
+}
+
+/// Appends `rows` to `out` as JSON lines.
+fn push_lines<T: serde::Serialize>(out: &mut String, rows: &[T]) {
+    for row in rows {
+        serde_json::append(out, row);
+        out.push('\n');
     }
 }
 
@@ -996,6 +983,82 @@ mod tests {
         assert_eq!((row.old_rate, row.new_rate), (3, 1));
         assert_eq!(row.trigger, "loss");
         assert!(rep.decisions_jsonl().contains("\"kind\":\"decision\""));
+    }
+
+    /// Every row kind's derived JSON writer against the `Value` tree
+    /// writer, and back through the parser.
+    fn assert_writers_agree<T>(rows: &[T])
+    where
+        T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
+    {
+        assert!(
+            !rows.is_empty(),
+            "the recorded run must produce this row kind"
+        );
+        for row in rows {
+            let text = serde_json::to_string(row).unwrap();
+            assert_eq!(text, serde_json::to_string(&row.to_value()).unwrap());
+            assert_eq!(&serde_json::from_str::<T>(&text).unwrap(), row);
+        }
+    }
+
+    #[test]
+    fn every_row_kind_writes_as_its_value_tree() {
+        let cfg = RecorderConfig {
+            interval: 0.1,
+            trace: true,
+            decisions: true,
+            retry_storm: 2,
+            ..RecorderConfig::default()
+        };
+        let mut r = Recorder::new(cfg, 2, 3);
+        r.on_enqueue(0.01, 0, 3);
+        r.mark_access_start(0, 0.01);
+        r.on_defer(0.012, 0, 0);
+        r.on_tx(0.02, 0, 0, 1, 3, 1, 500e-6);
+        r.on_outcome(0.021, outcome(0, true, None));
+        r.on_tcp_ack(0.03, 0, Some(0.012), 4.0, 0.2);
+        r.on_fault(0.04, "jammer", "start", "burst \"a\"\tdown".to_string());
+        for i in 0..3 {
+            let mut ev = outcome(1, false, Some(LossCause::Jamming));
+            ev.tx_id = 10 + i;
+            r.on_outcome(0.05 + 0.01 * i as f64, ev);
+        }
+        r.on_fault(0.09, "jammer", "end", String::new());
+        r.on_decision(
+            0.11,
+            DecisionEvent {
+                station: 1,
+                port: 1,
+                adapter: "SoftRate",
+                old_rate: 3,
+                new_rate: 1,
+                trigger: "loss",
+                snr_db: None,
+                ber: Some(2e-3),
+                reason: "threshold-crossing",
+            },
+        );
+        r.on_handoff(0.15, 1);
+        r.on_reassoc(0.16, 1, 2, 0, 0.12);
+        let mut rep = r.finish(0.3);
+        rep.stamp_run_idx(5);
+        assert_writers_agree(&rep.intervals);
+        assert_writers_agree(&rep.totals);
+        assert_writers_agree(&rep.hists);
+        assert_writers_agree(&rep.anomalies);
+        assert_writers_agree(&rep.faults);
+        assert_writers_agree(&rep.reassocs);
+        assert_writers_agree(&rep.trace);
+        assert_writers_agree(&rep.decisions);
+        // Each stream comes back at its exact size.
+        for stream in [
+            rep.metrics_jsonl(),
+            rep.trace_jsonl(),
+            rep.decisions_jsonl(),
+        ] {
+            assert_eq!(stream.capacity(), stream.len());
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Integration: trace generation → network simulation, asserting the
 //! paper's qualitative orderings on small configurations.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use softrate::sim::config::{AdapterKind, SimConfig};
 use softrate::sim::netsim::NetSim;
@@ -10,15 +10,22 @@ use softrate::trace::recipes::{StaticShortRecipe, WalkingRecipe};
 use softrate::trace::schema::LinkTrace;
 use softrate::trace::snr_training::{observations_from_trace, train_snr_table};
 
+/// The 1.5 s walking up/down pair, generated once per test binary and
+/// shared by every test that needs it (each generation runs the full
+/// SoftPHY decoder over every probe frame).
 fn short_walking_pair() -> (Arc<LinkTrace>, Arc<LinkTrace>) {
-    let recipe = WalkingRecipe {
-        duration: 1.5,
-        ..Default::default()
-    };
-    (
-        Arc::new(walking_trace(0, &recipe)),
-        Arc::new(walking_trace(1, &recipe)),
-    )
+    static PAIR: OnceLock<(Arc<LinkTrace>, Arc<LinkTrace>)> = OnceLock::new();
+    PAIR.get_or_init(|| {
+        let recipe = WalkingRecipe {
+            duration: 1.5,
+            ..Default::default()
+        };
+        (
+            Arc::new(walking_trace(0, &recipe)),
+            Arc::new(walking_trace(1, &recipe)),
+        )
+    })
+    .clone()
 }
 
 #[test]
