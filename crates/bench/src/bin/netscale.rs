@@ -21,22 +21,14 @@
 //! `--smoke` (or `SOFTRATE_SMOKE=1`) shrinks the ladder and the duration.
 //! `--profile` additionally prints a per-phase wall-time breakdown
 //! (sense / begin / collision / fate / roam / transport / outcome /
-//! sync / queue+dispatch) per ladder point, so future perf PRs know where
-//! the time goes. Profiled rows keep identical simulation results but
-//! carry timer overhead, so the JSON is only refreshed on unprofiled
-//! runs. `--gate` is the CI perf check: one quick 400-station measurement
-//! that must stay within 30% of the committed trajectory — plus, when the
-//! committed file carries them, a 10k-station city point, a 400-station
-//! TCP point and a sharded 1600-station point (skipped with a notice when
-//! the host has fewer cores than the committed row's shard count). Every
-//! gated run must also process exactly its pinned number of events.
-//!
-//! `--shards N` runs the ladder under the conservative parallel scheduler
-//! (`SpatialConfig::shards = N`). Results are byte-identical to the
-//! sequential rows — the shard-invariance suite pins that — so the rung
-//! table is shared and only the wall numbers differ; a full unprofiled
-//! sharded UDP run rewrites the `sharded_rows` trajectory (tagged with
-//! the shard count and the host cores the measurement had).
+//! queue+dispatch) per ladder point, so future perf PRs know where the
+//! time goes. Profiled rows keep identical simulation results but carry
+//! timer overhead, so the JSON is only refreshed on unprofiled runs.
+//! `--gate` is the CI perf check: one quick 400-station measurement that
+//! must stay within 30% of the committed trajectory — plus, when the
+//! committed file carries them, a 10k-station city point and a
+//! 400-station TCP point. Every gated run must also process exactly its
+//! pinned number of events.
 //!
 //! `--traffic udp|tcp|onoff` swaps the workload: `tcp` runs the ladder
 //! under per-station TCP NewReno uploads (AP transmitters carry the ACK
@@ -66,7 +58,7 @@ use softrate_sim::mac::PhaseProfile;
 use softrate_sim::transport::TransportConfig;
 
 /// One ladder rung: the deployment and measurement window, defined once
-/// for every traffic mode and shard count.
+/// for every traffic mode.
 #[derive(Debug, Clone, Copy)]
 struct Rung {
     stations: usize,
@@ -138,12 +130,8 @@ struct NetScaleRow {
     goodput_bps: f64,
     frames_sent: u64,
     handoffs: u64,
-    /// Spatial domains the run was scheduled over (`None`/1 = sequential
-    /// engine; pre-sharding rows carry `None`).
-    shards: Option<usize>,
     /// Host cores available when the row was measured — the context a
-    /// parallel-efficiency comparison needs (a 4-shard row measured on one
-    /// core is a correctness datapoint, not a speedup claim).
+    /// wall-clock comparison across hosts needs.
     cores: Option<usize>,
 }
 
@@ -158,10 +146,6 @@ struct NetScaleResults {
     /// TCP ladder has been committed, at which point the gate also pins
     /// its 400-station row.
     tcp_rows: Option<Vec<NetScaleRow>>,
-    /// The sharded-scheduler UDP trajectory (`--shards N`); once
-    /// committed, the gate also pins its 1600-station row on hosts with
-    /// enough cores.
-    sharded_rows: Option<Vec<NetScaleRow>>,
 }
 
 fn spec(r: &Rung) -> SpatialSpec {
@@ -189,15 +173,13 @@ fn spec(r: &Rung) -> SpatialSpec {
     }
 }
 
-/// The run configuration for one rung (traffic, duration, stagger,
-/// shards) — the single place a ladder row's parameters turn into a
-/// [`SpatialConfig`].
-fn config(r: &Rung, traffic: &SpatialTraffic, shards: usize) -> SpatialConfig {
+/// The run configuration for one rung (traffic, duration, stagger) — the
+/// single place a ladder row's parameters turn into a [`SpatialConfig`].
+fn config(r: &Rung, traffic: &SpatialTraffic) -> SpatialConfig {
     let mut cfg = SpatialConfig::new(AdapterKind::SoftRate, spec(r));
     cfg.traffic = traffic.clone();
     cfg.duration = r.sim_seconds;
     cfg.kickoff_stagger_s = r.stagger_s;
-    cfg.shards = shards;
     cfg
 }
 
@@ -226,7 +208,6 @@ struct Cli {
     gate: bool,
     /// A name [`traffic_for`] accepts.
     traffic: String,
-    shards: usize,
     metrics: Option<String>,
     decisions: Option<String>,
 }
@@ -240,7 +221,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         profile: false,
         gate: false,
         traffic: "udp".to_string(),
-        shards: 1,
         metrics: None,
         decisions: None,
     };
@@ -263,14 +243,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                         cli.traffic
                     ));
                 }
-            }
-            "--shards" => {
-                let v = value()?;
-                cli.shards = v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| format!("--shards takes a positive integer, not `{v}`"))?;
             }
             "--metrics" => cli.metrics = Some(value()?),
             "--decisions" => cli.decisions = Some(value()?),
@@ -310,10 +282,8 @@ fn print_profile(p: &PhaseProfile) {
         pct(p.outcome_s),
     );
     println!(
-        "                   sync  {:6.3}s ({:4.1}%)  queue+dispatch {:6.3}s ({:4.1}%)  \
+        "                   queue+dispatch {:6.3}s ({:4.1}%)  \
          deferrals {}  transmissions {}",
-        p.sync_s,
-        pct(p.sync_s),
         p.queue_s,
         pct(p.queue_s),
         p.deferrals,
@@ -327,8 +297,7 @@ fn print_profile(p: &PhaseProfile) {
         p.sense_candidates,
         p.sense_candidates as f64 / senses.max(1) as f64,
     );
-    // Same-tick drain widths (drains of width ≥ 2 only; sharded runs
-    // dispatch one event at a time and leave these at zero).
+    // Same-tick drain widths (drains of width ≥ 2 only).
     let (p50, p95) = drain_percentiles(&p.cohort_hist);
     println!(
         "                   same-tick drains {}  width p50 {}  p95 {}  max {}",
@@ -366,7 +335,6 @@ fn drain_percentiles(hist: &[u64; 16]) -> (u64, u64) {
 /// quiet machine.
 fn run_gate() -> ! {
     const GATE_STATIONS: usize = 400;
-    const GATE_SHARD_STATIONS: usize = 1600;
     const GATE_CITY_STATIONS: usize = 10_000;
     const GATE_SIM_SECONDS: f64 = 2.0;
     const GATE_CITY_SIM_SECONDS: f64 = 0.5;
@@ -377,7 +345,6 @@ fn run_gate() -> ! {
     const GATE_EVENTS_UDP: u64 = 1_719_563;
     const GATE_EVENTS_CITY: u64 = 2_028_372;
     const GATE_EVENTS_TCP: u64 = 253_008;
-    const GATE_EVENTS_SHARDED: u64 = 3_815_692;
     banner("netscale --gate — perf regression check vs BENCH_netscale.json");
     let committed: NetScaleResults = match std::fs::read_to_string("BENCH_netscale.json")
         .map_err(|e| e.to_string())
@@ -395,12 +362,12 @@ fn run_gate() -> ! {
     };
     // Warmup, then best of two (the simulation is deterministic; only the
     // clock varies). Returns events/s and the event count.
-    let measure = |stations: usize, traffic: &SpatialTraffic, duration: f64, shards| {
+    let measure = |stations: usize, traffic: &SpatialTraffic, duration: f64| {
         let rung = LADDER
             .iter()
             .find(|r| r.stations == stations)
             .expect("gate rungs are in the ladder table");
-        let mut cfg = config(rung, traffic, shards);
+        let mut cfg = config(rung, traffic);
         cfg.duration = duration;
         let sim = SpatialSim::new(cfg).expect("bench spec is valid");
         let started = std::time::Instant::now();
@@ -411,13 +378,12 @@ fn run_gate() -> ! {
     let check = |label: &str,
                  stations: usize,
                  traffic: &SpatialTraffic,
-                 shards,
                  sim_seconds: f64,
                  committed_eps,
                  expected_events: u64| {
-        measure(stations, traffic, sim_seconds / 4.0, shards);
-        let (a, events) = measure(stations, traffic, sim_seconds, shards);
-        let (b, _) = measure(stations, traffic, sim_seconds, shards);
+        measure(stations, traffic, sim_seconds / 4.0);
+        let (a, events) = measure(stations, traffic, sim_seconds);
+        let (b, _) = measure(stations, traffic, sim_seconds);
         if events != expected_events {
             eprintln!(
                 "gate FAILED ({label}): {stations} stations, {sim_seconds} s processed \
@@ -444,7 +410,6 @@ fn run_gate() -> ! {
         "udp",
         GATE_STATIONS,
         &SpatialTraffic::SaturatedUplinkUdp,
-        1,
         GATE_SIM_SECONDS,
         baseline.events_per_sec,
         GATE_EVENTS_UDP,
@@ -461,7 +426,6 @@ fn run_gate() -> ! {
             "udp-10k",
             GATE_CITY_STATIONS,
             &SpatialTraffic::SaturatedUplinkUdp,
-            1,
             GATE_CITY_SIM_SECONDS,
             city.events_per_sec,
             GATE_EVENTS_CITY,
@@ -479,44 +443,12 @@ fn run_gate() -> ! {
             "tcp",
             GATE_STATIONS,
             &traffic_for("tcp").expect("tcp is a known workload"),
-            1,
             GATE_SIM_SECONDS,
             tcp_baseline.events_per_sec,
             GATE_EVENTS_TCP,
         );
     } else {
         println!("(no committed TCP trajectory with a {GATE_STATIONS}-station row; udp only)");
-    }
-    // The sharded ladder point: pins the parallel scheduler's throughput
-    // at ≥70% of the committed sharded trajectory — but only on hosts
-    // with at least as many cores as the committed row had shards (a
-    // smaller host cannot reproduce the parallelism, only the results).
-    if let Some(srow) = committed
-        .sharded_rows
-        .as_ref()
-        .and_then(|rows| rows.iter().find(|r| r.stations == GATE_SHARD_STATIONS))
-    {
-        let cores = host_cores();
-        let srow_shards = srow.shards.unwrap_or(1);
-        if cores < srow_shards {
-            println!(
-                "(sharded gate skipped: host has {cores} core(s), committed row used \
-                 {srow_shards} shards on {} core(s))",
-                srow.cores.unwrap_or(1)
-            );
-        } else {
-            check(
-                "sharded-udp",
-                GATE_SHARD_STATIONS,
-                &SpatialTraffic::SaturatedUplinkUdp,
-                srow_shards,
-                GATE_SIM_SECONDS,
-                srow.events_per_sec,
-                GATE_EVENTS_SHARDED,
-            );
-        }
-    } else {
-        println!("(no committed sharded trajectory with a {GATE_SHARD_STATIONS}-station row)");
     }
     println!("gate passed");
     std::process::exit(0);
@@ -532,14 +464,14 @@ fn main() {
         run_gate();
     }
     let smoke = cli.smoke || smoke_mode();
-    let (profile, shards) = (cli.profile, cli.shards);
+    let profile = cli.profile;
     let (metrics_path, decisions_path) = (cli.metrics, cli.decisions);
     let traffic_mode = cli.traffic.as_str();
     let traffic = traffic_for(traffic_mode).expect("validated by parse_cli");
     let cores = host_cores();
     banner(&format!(
         "netscale — spatial simulator throughput vs station count \
-         ({traffic_mode}, {shards} shard(s), {cores} core(s))"
+         ({traffic_mode}, {cores} core(s))"
     ));
     let ladder: &[Rung] = if smoke {
         SMOKE_LADDER
@@ -555,23 +487,14 @@ fn main() {
     // timed run — the first ladder point otherwise absorbs all the
     // cold-start cost.
     {
-        let mut cfg = config(&LADDER[0], &traffic, shards);
+        let mut cfg = config(&LADDER[0], &traffic);
         cfg.duration = 1.0;
         SpatialSim::new(cfg).expect("bench spec is valid").run();
     }
 
     println!(
-        "{:>9} {:>5} {:>7} {:>8} {:>9} {:>12} {:>13} {:>9} {:>11} {:>9}",
-        "stations",
-        "aps",
-        "shards",
-        "sim s",
-        "wall s",
-        "events",
-        "events/s",
-        "speedup",
-        "Mbit/s",
-        "handoffs"
+        "{:>9} {:>5} {:>8} {:>9} {:>12} {:>13} {:>9} {:>11} {:>9}",
+        "stations", "aps", "sim s", "wall s", "events", "events/s", "speedup", "Mbit/s", "handoffs"
     );
     let mut rows = Vec::new();
     let mut metrics_out = String::new();
@@ -583,7 +506,7 @@ fn main() {
         let mut wall = f64::INFINITY;
         let mut best: Option<(softrate_sim::mac::RunReport, Option<PhaseProfile>)> = None;
         for _ in 0..if profile { 1 } else { 2 } {
-            let mut cfg = config(rung, &traffic, shards);
+            let mut cfg = config(rung, &traffic);
             if metrics_path.is_some() || decisions_path.is_some() {
                 cfg.telemetry = Some(softrate_telemetry::RecorderConfig {
                     decisions: decisions_path.is_some(),
@@ -622,14 +545,12 @@ fn main() {
             goodput_bps: report.aggregate_goodput_bps,
             frames_sent: report.frames_sent,
             handoffs: report.handoffs,
-            shards: Some(shards),
             cores: Some(cores),
         };
         println!(
-            "{:>9} {:>5} {:>7} {:>8.1} {:>9.3} {:>12} {:>13.0} {:>9.1} {:>11.2} {:>9}",
+            "{:>9} {:>5} {:>8.1} {:>9.3} {:>12} {:>13.0} {:>9.1} {:>11.2} {:>9}",
             row.stations,
             row.aps,
-            row.shards.unwrap_or(1),
             row.sim_seconds,
             row.wall_seconds,
             row.events,
@@ -662,8 +583,8 @@ fn main() {
         eprintln!("[recorder run: BENCH_netscale.json left untouched (recorder overhead)]");
         return;
     }
-    if traffic_mode == "onoff" || (shards > 1 && traffic_mode != "udp") {
-        // Only the UDP, TCP, and sharded-UDP trajectories are committed.
+    if traffic_mode == "onoff" {
+        // Only the UDP and TCP trajectories are committed.
         eprintln!(
             "[--traffic {traffic_mode} run: BENCH_netscale.json left untouched \
              (uncommitted workload)]"
@@ -689,31 +610,15 @@ fn main() {
         NetScaleResults {
             bench: "netscale".to_string(),
             smoke,
-            rows: committed
-                .as_ref()
-                .map(|c| c.rows.clone())
-                .unwrap_or_default(),
+            rows: committed.map(|c| c.rows).unwrap_or_default(),
             tcp_rows: Some(rows),
-            sharded_rows: committed.and_then(|c| c.sharded_rows),
-        }
-    } else if shards > 1 {
-        NetScaleResults {
-            bench: "netscale".to_string(),
-            smoke,
-            rows: committed
-                .as_ref()
-                .map(|c| c.rows.clone())
-                .unwrap_or_default(),
-            tcp_rows: committed.and_then(|c| c.tcp_rows),
-            sharded_rows: Some(rows),
         }
     } else {
         NetScaleResults {
             bench: "netscale".to_string(),
             smoke,
             rows,
-            tcp_rows: committed.as_ref().and_then(|c| c.tcp_rows.clone()),
-            sharded_rows: committed.and_then(|c| c.sharded_rows),
+            tcp_rows: committed.and_then(|c| c.tcp_rows),
         }
     };
     let path = "BENCH_netscale.json";
@@ -740,11 +645,10 @@ mod tests {
     #[test]
     fn defaults_and_known_flags_parse() {
         let cli = parse(&[]).expect("empty argv parses");
-        assert_eq!((cli.traffic.as_str(), cli.shards), ("udp", 1));
-        let cli = parse(&["--smoke", "--profile", "--traffic", "tcp", "--shards", "4"])
-            .expect("known flags parse");
+        assert_eq!(cli.traffic, "udp");
+        let cli = parse(&["--smoke", "--profile", "--traffic", "tcp"]).expect("known flags parse");
         assert!(cli.smoke && cli.profile && !cli.gate);
-        assert_eq!((cli.traffic.as_str(), cli.shards), ("tcp", 4));
+        assert_eq!(cli.traffic, "tcp");
     }
 
     #[test]
@@ -756,15 +660,19 @@ mod tests {
     }
 
     #[test]
-    fn malformed_shards_are_rejected() {
-        let e = parse(&["--shards", "x"]).unwrap_err();
-        assert!(e.contains("positive integer") && e.contains("`x`"), "{e}");
-        assert!(parse(&["--shards", "0"]).is_err());
+    fn the_removed_shards_flag_is_rejected() {
+        assert_eq!(
+            parse(&["--shards", "2"]).unwrap_err(),
+            "unknown flag `--shards`"
+        );
     }
 
     #[test]
     fn a_flag_at_the_end_of_argv_needs_its_value() {
-        assert_eq!(parse(&["--shards"]).unwrap_err(), "--shards needs a value");
+        assert_eq!(
+            parse(&["--traffic"]).unwrap_err(),
+            "--traffic needs a value"
+        );
     }
 
     #[test]

@@ -45,7 +45,6 @@ use softrate_sim::mac::{
     ActiveTx, AttemptInfo, HandoffRecord, MacCore, MacEngine, MacEv, MacParams, Medium,
     PhaseProfile, Port, RunReport,
 };
-use softrate_sim::shard::ShardableMedium;
 use softrate_sim::timing::{data_airtime, rts_cts_overhead, CW_MIN, IP_TCP_HEADER};
 use softrate_sim::transport::{
     Payload, TransportConfig, TransportEv, TransportHost, TransportLayer,
@@ -101,17 +100,6 @@ pub struct SpatialConfig {
     pub spatial: SpatialSpec,
     /// The workload.
     pub traffic: SpatialTraffic,
-    /// Spatial domains for the conservative parallel scheduler
-    /// ([`softrate_sim::shard`]). `1` (the default) runs the sequential
-    /// engine; any count produces byte-identical results (pinned by the
-    /// shard-invariance suite) — only the wall-clock profile changes.
-    pub shards: usize,
-    /// Cap on shard-pool worker threads (the dispatching thread also
-    /// works), or `None` for the host default (cores − 1). The scenario
-    /// engine sets this when the run matrix itself is parallel, so
-    /// `--threads` × `--shards` does not oversubscribe the host. Sizing
-    /// only — results are byte-identical for every value.
-    pub shard_workers: Option<usize>,
     /// Saturated-uplink kickoff stagger between consecutive stations,
     /// seconds — spreads the floor's first backoff draws so they do not
     /// all land on one instant. Large ladders scale it down so the whole
@@ -140,8 +128,6 @@ impl SpatialConfig {
             mac_seed: 0x5A7A,
             spatial,
             traffic: SpatialTraffic::SaturatedUplinkUdp,
-            shards: 1,
-            shard_workers: None,
             kickoff_stagger_s: 2e-4,
             telemetry: None,
             faults: None,
@@ -213,9 +199,8 @@ enum SpatialEv {
 }
 
 /// One scheduled fault-lifecycle event. All of them are pre-scheduled at
-/// kickoff into the ordinary near event queue, so they dispatch in exact
-/// global `(time, seq)` order on both the sequential and the sharded
-/// scheduler — shard counts cannot reorder faults.
+/// kickoff into the ordinary event queue, so they dispatch in exact
+/// global `(time, seq)` order with the traffic.
 #[derive(Debug, Clone, Copy)]
 enum FaultEv {
     /// AP `ap` dies: queued downlink frames drop with accounting, and
@@ -486,11 +471,6 @@ struct SpatialMedium {
     fs_memo: FrameSuccessMemo,
     /// The omniscient oracle as exact threshold compares.
     oracle: OracleBands,
-    /// Positions of active-set mutations (insert/remove) since the last
-    /// window barrier — the sharded scheduler's sense-invalidation feed.
-    /// Empty and unmaintained (`log_muts` off) on sequential runs.
-    mut_log: Vec<(f64, f64)>,
-    log_muts: bool,
     /// Scratch: per-AP "the new transmitter is within interference range
     /// of this AP" flags (reused).
     ap_near: Vec<bool>,
@@ -575,19 +555,6 @@ impl SpatialMedium {
     /// id; downlink ports are offset by the station count).
     fn station_of_port(&self, port: usize) -> usize {
         station_of_port(self.params.n_stations, port)
-    }
-
-    /// Transmitter position at `t` from *private* mobility cursors (the
-    /// sharded scheduler's worker path). Walker positions are a pure
-    /// function of `t` (pinned against `position_at` by tests), so a
-    /// private cursor returns the bit-identical point the medium's own
-    /// walker and `pos_cache` would — without touching either.
-    fn walker_pos(&self, walkers: &mut [MobilityWalker], sender: usize, t: f64) -> Point {
-        if sender < self.params.n_stations {
-            walkers[sender].position(&self.params.mobility, &self.params.bounds, t)
-        } else {
-            self.params.aps[sender - self.params.n_stations]
-        }
     }
 
     /// Carrier sense over the sensing station's index list: entries run
@@ -857,8 +824,8 @@ impl SpatialMedium {
 
     /// Dispatches one scheduled fault-lifecycle event. Every effect is a
     /// plain data write applied at dispatch time (exact global event
-    /// order), so the sharded scheduler replays faults identically; none
-    /// of them touch carrier sense or consume engine randomness.
+    /// order); none of them touch carrier sense or consume engine
+    /// randomness.
     fn on_fault_event(&mut self, core: &mut Core, fev: FaultEv) {
         let now = core.now();
         match fev {
@@ -983,9 +950,8 @@ impl Medium for SpatialMedium {
     fn kickoff(&mut self, core: &mut Core) {
         let n = self.params.n_stations;
         // Pre-schedule every fault-lifecycle event. They ride the
-        // ordinary near event queue, so both schedulers dispatch them in
-        // exact global `(time, seq)` order — shard counts cannot reorder
-        // faults relative to traffic.
+        // ordinary event queue, so they dispatch in exact global
+        // `(time, seq)` order relative to traffic.
         if let Some(fs) = &self.faults {
             let c = fs.config;
             let mut at = |t: f64, fev: FaultEv| {
@@ -1191,7 +1157,7 @@ impl Medium for SpatialMedium {
             // ratio at the receiver falls below the capture threshold —
             // the same SIR rule concurrent 802.11 transmitters obey. The
             // verdict is fixed at transmit time (data, not sensing), so
-            // it never perturbs the sharded scheduler's frozen senses.
+            // it never changes what carrier sense observes.
             let rx_pos = if port < n {
                 self.params.aps[ap]
             } else {
@@ -1271,9 +1237,6 @@ impl Medium for SpatialMedium {
             pos: tx.info.start_pos,
             end: tx.end,
         };
-        if self.log_muts {
-            self.mut_log.push((entry.pos.x, entry.pos.y));
-        }
         self.sense.insert(entry);
         if tx.use_rts {
             return;
@@ -1361,10 +1324,6 @@ impl Medium for SpatialMedium {
 
     /// The transmission left the air: drop it from the sense index.
     fn on_air_end(&mut self, tx: &ActiveTx<SpatialTx>) {
-        if self.log_muts {
-            self.mut_log
-                .push((tx.info.start_pos.x, tx.info.start_pos.y));
-        }
         self.sense.remove(tx.sender, tx.info.start_pos);
     }
 
@@ -1580,102 +1539,6 @@ fn station_of_port(n: usize, port: usize) -> usize {
     }
 }
 
-/// Per-worker carrier-sense scratch for the sharded scheduler: private
-/// mobility cursors (one full set per domain — positions are pure in `t`,
-/// so private cursors agree bit-for-bit with the medium's).
-struct SpatialSenseScratch {
-    walkers: Vec<MobilityWalker>,
-}
-
-impl ShardableMedium for SpatialMedium {
-    type Scratch = SpatialSenseScratch;
-
-    fn make_scratch(&self) -> SpatialSenseScratch {
-        SpatialSenseScratch {
-            walkers: self.walkers.clone(),
-        }
-    }
-
-    /// Domains are vertical strips of the floor; a sender's home strip is
-    /// its initial AP's x-coordinate (stations) or its own (AP
-    /// transmitters). Load balance only — the merge restores global order,
-    /// so stations roaming across strips need no re-mapping.
-    fn domain_of(&self, sender: usize, domains: usize) -> usize {
-        let n = self.params.n_stations;
-        let ap = if sender < n {
-            self.initial_assoc[sender]
-        } else {
-            sender - n
-        };
-        let b = &self.params.bounds;
-        let w = b.max.x - b.min.x;
-        if w <= 0.0 {
-            return 0;
-        }
-        let f = (self.params.aps[ap].x - b.min.x) / w;
-        ((f * domains as f64) as usize).min(domains - 1)
-    }
-
-    /// [`Medium::carrier_sense`] evaluated from worker threads against the
-    /// frozen window-start active set: the same index list in the same
-    /// order, the same band classification — via private cursors instead
-    /// of the `&mut self` memos.
-    fn sense_pure(
-        &self,
-        scratch: &mut SpatialSenseScratch,
-        sender: usize,
-        t: f64,
-    ) -> (Option<f64>, (f64, f64)) {
-        let walkers = &mut scratch.walkers;
-        let pos = self.walker_pos(walkers, sender, t);
-        let sensed = self
-            .sense
-            .list_at(pos)
-            .iter()
-            .find(|e| {
-                e.sender != sender
-                    && self.bands.audible(&self.params, e, pos, || {
-                        self.walker_pos(walkers, e.sender, t)
-                    })
-            })
-            .map(|e| e.end);
-        (sensed, (pos.x, pos.y))
-    }
-
-    /// An active-set mutation beyond the drift-widened certainly-inaudible
-    /// radius of the sensing position cannot flip any audibility verdict
-    /// (inserted entry: certainly inaudible; removed entry: was certainly
-    /// inaudible, so dropping it changes nothing), hence cannot change the
-    /// sensed max-end either.
-    fn inval_radius2(&self) -> f64 {
-        self.bands.hi_ins2
-    }
-
-    fn mutations(&self) -> &[(f64, f64)] {
-        &self.mut_log
-    }
-
-    fn clear_mutations(&mut self) {
-        self.mut_log.clear();
-    }
-
-    fn set_mutation_logging(&mut self, on: bool) {
-        self.log_muts = on;
-    }
-
-    /// ~11 slots of backoff: comfortably beyond DIFS + the mean draw, so
-    /// most channel-access events land beyond the window and batch into
-    /// the parallel drains, while the window stays short enough that the
-    /// frozen active set rarely mutates under a precomputed sense.
-    fn lookahead(&self) -> f64 {
-        1e-4
-    }
-
-    fn pool_workers(&self) -> Option<usize> {
-        self.cfg.shard_workers
-    }
-}
-
 /// The multi-cell simulator: a [`MacEngine`] configured with a
 /// [`SpatialMedium`].
 pub struct SpatialSim {
@@ -1805,8 +1668,6 @@ impl SpatialSim {
             env_cache: vec![(0, NO_TIME, 0.0); n],
             fs_memo: FrameSuccessMemo::new(),
             oracle: OracleBands::new(cfg.frame_bits()),
-            mut_log: Vec::new(),
-            log_muts: false,
             ap_near: Vec::with_capacity(n_aps),
             faults,
             inter_cell_corruptions: 0,
@@ -1875,17 +1736,10 @@ impl SpatialSim {
         Ok(SpatialSim { engine })
     }
 
-    /// Runs to `cfg.duration` and reports. `cfg.shards > 1` runs the
-    /// conservative sharded scheduler; results are byte-identical either
-    /// way (the shard-invariance suite pins it).
+    /// Runs to `cfg.duration` and reports.
     pub fn run(mut self) -> RunReport {
         let duration = self.engine.medium.cfg.duration;
-        let shards = self.engine.medium.cfg.shards;
-        if shards > 1 {
-            self.engine.run_sharded(duration, shards);
-        } else {
-            self.engine.run(duration);
-        }
+        self.engine.run(duration);
         self.report()
     }
 
@@ -1893,12 +1747,7 @@ impl SpatialSim {
     /// results; see [`MacEngine::run_profiled`]).
     pub fn run_profiled(mut self) -> (RunReport, PhaseProfile) {
         let duration = self.engine.medium.cfg.duration;
-        let shards = self.engine.medium.cfg.shards;
-        let mut profile = if shards > 1 {
-            self.engine.run_profiled_sharded(duration, shards)
-        } else {
-            self.engine.run_profiled(duration)
-        };
+        let mut profile = self.engine.run_profiled(duration);
         profile.sense_candidates = self.engine.medium.sense_candidates;
         (self.report(), profile)
     }
@@ -2077,60 +1926,6 @@ mod tests {
         assert_eq!(a.frames_sent, b.frames_sent);
         assert_eq!(a.handoffs, b.handoffs);
         assert_eq!(a.handoff_log, b.handoff_log);
-    }
-
-    /// The conservative sharded scheduler must reproduce the sequential
-    /// engine bit for bit — every counter, every goodput, every handoff,
-    /// and the event count — for any shard count, on both the saturated
-    /// fast path and flow traffic, with mobility and roaming in play.
-    #[test]
-    fn sharded_runs_reproduce_sequential_exactly() {
-        let mk = |shards: usize, traffic: Option<SpatialTraffic>| {
-            let mut spec = small_spec(3, 25.0, 18);
-            spec.mobility = MobilitySpec::RandomWaypoint {
-                speed_mps: 3.0,
-                pause_s: 0.5,
-            };
-            spec.roaming = Some(RoamingSpec {
-                hysteresis_db: 1.0,
-                check_interval_s: Some(0.2),
-                handoff: HandoffPolicy::Preserve,
-            });
-            let mut cfg = SpatialConfig::new(AdapterKind::SoftRate, spec);
-            cfg.duration = 2.0;
-            cfg.shards = shards;
-            if let Some(t) = traffic {
-                cfg.traffic = t;
-            }
-            cfg
-        };
-        for traffic in [None, Some(flows(TrafficKind::Tcp, false))] {
-            let base = run(mk(1, traffic.clone()));
-            assert!(base.frames_sent > 0);
-            for shards in [2usize, 4] {
-                let r = run(mk(shards, traffic.clone()));
-                assert_eq!(r.events_processed, base.events_processed, "shards={shards}");
-                assert_eq!(r.frames_sent, base.frames_sent, "shards={shards}");
-                assert_eq!(r.frames_delivered, base.frames_delivered, "shards={shards}");
-                assert_eq!(r.collisions, base.collisions, "shards={shards}");
-                assert_eq!(r.silent_losses, base.silent_losses, "shards={shards}");
-                assert_eq!(
-                    r.per_flow_goodput_bps, base.per_flow_goodput_bps,
-                    "shards={shards}"
-                );
-                assert_eq!(r.handoff_log, base.handoff_log, "shards={shards}");
-                assert_eq!(
-                    r.inter_cell_corruptions, base.inter_cell_corruptions,
-                    "shards={shards}"
-                );
-                assert_eq!(r.audit.accurate, base.audit.accurate, "shards={shards}");
-                assert_eq!(r.audit.overselect, base.audit.overselect, "shards={shards}");
-                assert_eq!(
-                    r.audit.underselect, base.audit.underselect,
-                    "shards={shards}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! ```text
 //! softrate-scenarios list
 //! softrate-scenarios show <name | --file spec.toml> [--expanded]
-//! softrate-scenarios run  <name | --file spec.toml> [--threads N] [--shards N]
+//! softrate-scenarios run  <name | --file spec.toml> [--threads N]
 //!                         [--out results.jsonl] [--duration SECS] [--seed N]
 //!                         [--metrics metrics.jsonl] [--trace trace.jsonl]
 //!                         [--decisions decisions.jsonl]
-//! softrate-scenarios sweep --file spec.toml [--threads N] [--shards N]
+//! softrate-scenarios sweep --file spec.toml [--threads N]
 //!                         [--out results.jsonl]
 //! ```
 //!
@@ -19,12 +19,12 @@
 
 use std::process::ExitCode;
 
+use softrate_scenario::builtin;
 use softrate_scenario::engine::{
     self, expand, outcomes_to_jsonl, summary_table, telemetry_decisions_jsonl,
     telemetry_metrics_jsonl, telemetry_trace_jsonl,
 };
 use softrate_scenario::spec::ScenarioSpec;
-use softrate_scenario::{builtin, toml};
 use softrate_telemetry::RecorderConfig;
 
 fn usage() -> &'static str {
@@ -34,11 +34,11 @@ USAGE:
     softrate-scenarios list
     softrate-scenarios show <name | --file spec.toml> [--expanded]
     softrate-scenarios run  <--name name | --file spec.toml> [--threads N]
-                            [--shards N] [--out results.jsonl]
+                            [--out results.jsonl]
                             [--duration SECS] [--seed N] [--only RUN_IDX]
                             [--metrics metrics.jsonl] [--trace trace.jsonl]
                             [--decisions decisions.jsonl]
-    softrate-scenarios sweep --file spec.toml [--threads N] [--shards N]
+    softrate-scenarios sweep --file spec.toml [--threads N]
                             [--out results.jsonl] [--metrics metrics.jsonl]
                             [--trace trace.jsonl] [--decisions decisions.jsonl]
 
@@ -49,9 +49,6 @@ or `--file <spec.toml|spec.json>`.
 interval/totals/histogram rows (deterministic JSONL, byte-identical
 across thread counts). `--trace` additionally streams per-frame
 lifecycle rows into the given file (implies --metrics if absent).
-`--shards N` schedules each spatial run over N spatial domains (the
-conservative parallel engine); results and every telemetry stream are
-byte-identical to `--shards 1` — only the wall clock changes.
 `--decisions` streams the rate-decision ledger — one row per
 rate-adaptation decision with trigger class and SNR/BER input — into the
 given file. Inspect all three with `softrate-inspect`.
@@ -69,7 +66,6 @@ struct Args {
     file: Option<String>,
     out: Option<String>,
     threads: Option<usize>,
-    shards: Option<usize>,
     duration: Option<f64>,
     seed: Option<u64>,
     only: Option<usize>,
@@ -85,7 +81,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         file: None,
         out: None,
         threads: None,
-        shards: None,
         duration: None,
         seed: None,
         only: None,
@@ -110,13 +105,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     value_of("--threads")?
                         .parse()
                         .map_err(|_| "--threads must be an integer".to_string())?,
-                )
-            }
-            "--shards" => {
-                args.shards = Some(
-                    value_of("--shards")?
-                        .parse()
-                        .map_err(|_| "--shards must be an integer".to_string())?,
                 )
             }
             "--duration" => {
@@ -238,9 +226,8 @@ fn cmd_run(args: &Args, require_sweep: bool) -> Result<(), String> {
         }
     }
     let threads = args.threads.map(|t| t.max(1));
-    let shards = args.shards.unwrap_or(1).max(1);
     eprintln!(
-        "scenario `{}`: {} runs x {:.1}s simulated, {} threads, {shards} shard(s)",
+        "scenario `{}`: {} runs x {:.1}s simulated, {} threads",
         spec.name,
         plans.len(),
         spec.duration,
@@ -255,15 +242,7 @@ fn cmd_run(args: &Args, require_sweep: bool) -> Result<(), String> {
             ..RecorderConfig::default()
         });
     let started = std::time::Instant::now();
-    let outcomes = engine::run_all_checked(
-        &plans,
-        &engine::RunOptions {
-            threads,
-            telemetry,
-            shards,
-            shard_workers: None,
-        },
-    );
+    let outcomes = engine::run_all_checked(&plans, &engine::RunOptions { threads, telemetry });
     eprintln!("completed in {:.2}s", started.elapsed().as_secs_f64());
     // A panicking run is captured as a structured `kind: "error"` row
     // (in matrix order, alongside the healthy results) and the command
@@ -311,13 +290,6 @@ fn write_file(path: &str, text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Sanity helper for `show --file` on raw TOML that is not a scenario:
-/// kept internal; surfaces parser line numbers to the user.
-#[allow(dead_code)]
-fn check_toml(text: &str) -> Result<(), String> {
-    toml::parse(text).map(|_| ()).map_err(|e| e.to_string())
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
@@ -351,5 +323,24 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn the_removed_shards_flag_is_rejected() {
+        assert_eq!(
+            parse(&["dense-enterprise", "--shards", "2"])
+                .err()
+                .as_deref(),
+            Some("unknown flag `--shards`")
+        );
     }
 }

@@ -360,8 +360,6 @@ fn spatial_traffic(plan: &RunPlan) -> SpatialTraffic {
 fn run_spatial_plan(
     plan: &RunPlan,
     telemetry: Option<&RecorderConfig>,
-    shards: usize,
-    shard_workers: Option<usize>,
 ) -> (RunResult, Option<TelemetryReport>) {
     let spec = &plan.spec;
     let mut spatial = spec
@@ -381,8 +379,6 @@ fn run_spatial_plan(
     // faults-off engine path provably untouched.
     cfg.faults = spec.faults.map(|f| f.lower()).filter(|f| !f.is_noop());
     cfg.telemetry = telemetry.cloned();
-    cfg.shards = shards.max(1);
-    cfg.shard_workers = shard_workers;
     let report = SpatialSim::new(cfg)
         .expect("validated spatial spec resolves")
         .run();
@@ -424,16 +420,6 @@ pub struct RunOptions {
     pub threads: Option<usize>,
     /// Telemetry recorder per run; `None` never constructs a recorder.
     pub telemetry: Option<RecorderConfig>,
-    /// Spatial domains for the conservative parallel scheduler — spatial
-    /// topologies only, single-cell runs ignore it. `0`/`1` runs the
-    /// sequential engine; every value produces byte-identical results
-    /// (the shard-invariance suite pins it).
-    pub shards: usize,
-    /// Cap on shard-pool worker threads per run, or `None` to size
-    /// automatically: [`run_all_with_options`] divides the host's cores
-    /// between the matrix workers so `threads` × `shards` never
-    /// oversubscribes. Sizing only — results are byte-identical.
-    pub shard_workers: Option<usize>,
 }
 
 /// [`run_plan_with_telemetry`] with the full option set.
@@ -443,7 +429,7 @@ pub fn run_plan_with_options(
 ) -> (RunResult, Option<TelemetryReport>) {
     let telemetry = opts.telemetry.as_ref();
     if plan.spec.topology.spatial.is_some() {
-        return run_spatial_plan(plan, telemetry, opts.shards, opts.shard_workers);
+        return run_spatial_plan(plan, telemetry);
     }
     let traces = traces_for(plan);
     let spec = &plan.spec;
@@ -540,11 +526,10 @@ pub fn run_plan_checked(plan: &RunPlan, opts: &RunOptions) -> RunOutcome {
 /// thread counts, like everything else here). Callers decide the exit
 /// status — `softrate-scenarios run` exits non-zero if any row failed.
 pub fn run_all_checked(plans: &[RunPlan], opts: &RunOptions) -> Vec<RunOutcome> {
-    let opts = size_shard_workers(plans, opts);
     par_map_threads(
         opts.threads.unwrap_or_else(default_threads),
         plans.to_vec(),
-        move |plan| run_plan_checked(&plan, &opts),
+        |plan| run_plan_checked(&plan, opts),
     )
 }
 
@@ -581,29 +566,18 @@ pub fn run_all_with_telemetry(
     threads: Option<usize>,
     telemetry: Option<RecorderConfig>,
 ) -> Vec<(RunResult, Option<TelemetryReport>)> {
-    run_all_with_options(
-        plans,
-        &RunOptions {
-            threads,
-            telemetry,
-            shards: 1,
-            shard_workers: None,
-        },
-    )
+    run_all_with_options(plans, &RunOptions { threads, telemetry })
 }
 
-/// [`run_all_with_telemetry`] with the full option set (notably
-/// `shards`, the spatial scheduler's domain count — results stay
-/// byte-identical for every value).
+/// [`run_all_with_telemetry`] with the full option set.
 pub fn run_all_with_options(
     plans: &[RunPlan],
     opts: &RunOptions,
 ) -> Vec<(RunResult, Option<TelemetryReport>)> {
-    let opts = size_shard_workers(plans, opts);
     par_map_threads(
         opts.threads.unwrap_or_else(default_threads),
         plans.to_vec(),
-        move |plan| run_plan_with_options(&plan, &opts),
+        |plan| run_plan_with_options(&plan, opts),
     )
 }
 
@@ -614,50 +588,35 @@ fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolves the automatic shard-pool sizing: sharded runs executing
-/// concurrently must share the machine, so each matrix worker gets an
-/// equal slice of the cores (minus the worker itself, which also
-/// dispatches) and `threads` × `shards` never spawns more pool threads
-/// than the host has.
-fn size_shard_workers(plans: &[RunPlan], opts: &RunOptions) -> RunOptions {
-    let cores = default_threads();
-    let threads = opts.threads.unwrap_or(cores);
-    let mut opts = opts.clone();
-    if opts.shards > 1 && opts.shard_workers.is_none() {
-        let concurrent = threads.min(plans.len()).max(1);
-        if concurrent > 1 {
-            opts.shard_workers = Some((cores / concurrent).saturating_sub(1));
-        }
-    }
-    opts
-}
-
 /// Concatenates the per-run metrics JSONL streams in matrix order.
 pub fn telemetry_metrics_jsonl(results: &[(RunResult, Option<TelemetryReport>)]) -> String {
-    results
-        .iter()
-        .filter_map(|(_, t)| t.as_ref())
-        .map(TelemetryReport::metrics_jsonl)
-        .collect()
+    join_streams(results, TelemetryReport::metrics_jsonl)
 }
 
 /// Concatenates the per-run frame-trace JSONL streams in matrix order.
 pub fn telemetry_trace_jsonl(results: &[(RunResult, Option<TelemetryReport>)]) -> String {
-    results
-        .iter()
-        .filter_map(|(_, t)| t.as_ref())
-        .map(TelemetryReport::trace_jsonl)
-        .collect()
+    join_streams(results, TelemetryReport::trace_jsonl)
 }
 
 /// Concatenates the per-run rate-decision ledger JSONL streams in matrix
 /// order.
 pub fn telemetry_decisions_jsonl(results: &[(RunResult, Option<TelemetryReport>)]) -> String {
-    results
+    join_streams(results, TelemetryReport::decisions_jsonl)
+}
+
+/// Renders one stream of every run that carries telemetry and joins the
+/// parts in matrix order. `concat` sums the part lengths first, so the
+/// joined buffer is allocated once at its exact size.
+fn join_streams(
+    results: &[(RunResult, Option<TelemetryReport>)],
+    stream: fn(&TelemetryReport) -> String,
+) -> String {
+    let parts: Vec<String> = results
         .iter()
         .filter_map(|(_, t)| t.as_ref())
-        .map(TelemetryReport::decisions_jsonl)
-        .collect()
+        .map(stream)
+        .collect();
+    parts.concat()
 }
 
 /// Convenience: expand + run in one call.
@@ -947,5 +906,47 @@ mod tests {
         assert_eq!(back[0].adapter, results[0].adapter);
         assert_eq!(back[0].goodput_bps, results[0].goodput_bps);
         assert!(!summary_table(&results).is_empty());
+    }
+
+    /// The joined telemetry streams equal the plain concatenation of the
+    /// per-run streams, in matrix order, and come back at their exact size.
+    #[test]
+    fn telemetry_streams_join_at_exact_size() {
+        let mut s = sweep_spec();
+        s.adapters = Some(vec![AdapterSpec::SoftRate]);
+        s.sweep = Some(Sweep(vec![SweepAxis {
+            param: "channel.snr_db".into(),
+            values: vec![Value::Float(12.0), Value::Float(20.0)],
+        }]));
+        let telemetry = RecorderConfig {
+            trace: true,
+            decisions: true,
+            ..RecorderConfig::default()
+        };
+        let results = run_all_with_telemetry(&expand(&s).unwrap(), Some(1), Some(telemetry));
+        let reports: Vec<&TelemetryReport> =
+            results.iter().filter_map(|(_, t)| t.as_ref()).collect();
+        assert_eq!(reports.len(), 2);
+        let naive = |stream: fn(&TelemetryReport) -> String| -> String {
+            reports.iter().map(|r| stream(r)).collect()
+        };
+        for (stream, want) in [
+            (
+                telemetry_metrics_jsonl(&results),
+                naive(TelemetryReport::metrics_jsonl),
+            ),
+            (
+                telemetry_trace_jsonl(&results),
+                naive(TelemetryReport::trace_jsonl),
+            ),
+            (
+                telemetry_decisions_jsonl(&results),
+                naive(TelemetryReport::decisions_jsonl),
+            ),
+        ] {
+            assert!(!want.is_empty());
+            assert_eq!(stream, want);
+            assert_eq!(stream.capacity(), stream.len());
+        }
     }
 }

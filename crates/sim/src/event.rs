@@ -145,24 +145,6 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: f64, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.schedule_with_seq(time, seq, event);
-    }
-
-    /// Reserves the next sequence number without scheduling anything.
-    /// The shard scheduler draws every event's tie-break from *one*
-    /// queue's counter (the near queue's) so that `(time, seq)` keys are
-    /// globally unique and identical to the sequential engine's
-    /// assignment, wherever the event is ultimately stored.
-    pub fn alloc_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Schedules `event` under an externally assigned sequence number
-    /// (see [`EventQueue::alloc_seq`]). Past times clamp to `now` exactly
-    /// as [`EventQueue::schedule`] does.
-    pub fn schedule_with_seq(&mut self, time: f64, seq: u64, event: E) {
         let time = if time < self.now { self.now } else { time };
         let ev = Scheduled { time, seq, event };
         self.len += 1;
@@ -216,41 +198,6 @@ impl<E> EventQueue<E> {
             }
             self.advance();
         }
-    }
-
-    /// Pops every event with `time <= until` into `out`, in the exact
-    /// `(time, seq)` order a pop loop would produce, and advances the
-    /// clock to `until` (so later schedules clamp identically whether or
-    /// not the drained span held events). Used by the shard scheduler to
-    /// empty a domain wheel up to the window horizon in one pass.
-    pub fn drain_until(&mut self, until: f64, out: &mut Vec<Scheduled<E>>) {
-        loop {
-            match self.peek_key() {
-                Some((t, _)) if t <= until => {
-                    let ev = self.cur.pop().expect("peek_key loaded cur");
-                    self.len -= 1;
-                    self.now = ev.time;
-                    out.push(ev);
-                }
-                _ => break,
-            }
-        }
-        if until > self.now {
-            self.now = until;
-        }
-    }
-
-    /// Advances the clock to `t` without popping (the shard scheduler
-    /// dispatches merged events that never transit this queue, and keeps
-    /// the clock honest so `schedule_in`/past-clamping behave exactly as
-    /// in the sequential engine). `t` must not precede any pending event.
-    pub fn force_now(&mut self, t: f64) {
-        debug_assert!(t >= self.now, "clock can only move forward");
-        debug_assert!(
-            self.cur.last().is_none_or(|ev| ev.time >= t),
-            "force_now must not pass a pending event"
-        );
-        self.now = t;
     }
 
     /// Number of pending events.
@@ -426,7 +373,8 @@ mod tests {
     /// The wheel tiers must be invisible: interleaved pushes and pops
     /// with deltas that exercise the current bucket, the ring, and the
     /// overflow heap produce the exact `(time, seq)` order a single
-    /// sorted list would.
+    /// sorted list would, and `peek_key` always names the next pop
+    /// without disturbing the order.
     #[test]
     fn wheel_matches_reference_order_under_churn() {
         let mut q = EventQueue::new();
@@ -458,92 +406,20 @@ mod tests {
             reference.push((t.to_bits(), seq));
             seq += 1;
             if round % 3 == 0 {
+                let key = q.peek_key();
                 let e = q.pop().expect("queue populated");
+                assert_eq!(key, Some((e.time, e.seq)));
                 now = e.time;
                 popped.push((e.time.to_bits(), e.event));
             }
         }
-        while let Some(e) = q.pop() {
+        while let Some(key) = q.peek_key() {
+            let e = q.pop().expect("peeked non-empty");
+            assert_eq!(key, (e.time, e.seq));
             popped.push((e.time.to_bits(), e.event));
         }
         reference.sort_unstable();
         assert_eq!(popped, reference, "pop order must equal the total order");
-    }
-
-    /// `drain_until` must deliver the exact `(time, seq)` sequence a pop
-    /// loop bounded by the same horizon would, across every tier (current
-    /// bucket, ring, overflow) and across interleaved re-schedules — the
-    /// shard scheduler's window drain depends on this being indistinguishable
-    /// from sequential popping.
-    #[test]
-    fn drain_until_matches_pop_loop_reference() {
-        let mut x: u64 = 0x0BAD_5EED_0BAD_5EED;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut drained: EventQueue<u64> = EventQueue::new();
-        let mut popper: EventQueue<u64> = EventQueue::new();
-        let mut tag = 0u64;
-        let mut now = 0.0f64;
-        for window in 0..200u64 {
-            // A burst of mixed-horizon events, identical into both queues.
-            for _ in 0..(rng() % 12) {
-                let delta = match rng() % 5 {
-                    0 => 0.0,
-                    1 => (rng() % 50) as f64 * 1e-6,
-                    2 => 1e-3 + (rng() % 500) as f64 * 1e-6,
-                    3 => 0.1,  // overflow tier
-                    _ => 3e-5, // repeated constant: exact ties
-                };
-                drained.schedule(now + delta, tag);
-                popper.schedule(now + delta, tag);
-                tag += 1;
-            }
-            let horizon = window as f64 * 2e-4;
-            let mut batch: Vec<Scheduled<u64>> = Vec::new();
-            drained.drain_until(horizon, &mut batch);
-            let got: Vec<(u64, u64)> = batch.iter().map(|e| (e.time.to_bits(), e.event)).collect();
-            // Reference: a guarded pop loop over the twin queue.
-            let mut want: Vec<(u64, u64)> = Vec::new();
-            while popper.peek_key().is_some_and(|(t, _)| t <= horizon) {
-                let ev = popper.pop().expect("peeked non-empty");
-                want.push((ev.time.to_bits(), ev.event));
-            }
-            assert_eq!(got, want, "window {window} diverged");
-            assert_eq!(drained.len(), popper.len());
-            now = horizon;
-        }
-    }
-
-    /// `alloc_seq` + `schedule_with_seq` must reproduce `schedule`'s
-    /// assignment exactly (one shared counter, FIFO ties), and `peek_key`
-    /// must never disturb pop order.
-    #[test]
-    fn external_seq_assignment_matches_internal() {
-        let mut a: EventQueue<u32> = EventQueue::new();
-        let mut b: EventQueue<u32> = EventQueue::new();
-        for k in [3u32, 1, 1, 4, 1, 5, 2] {
-            a.schedule(k as f64, k);
-            let seq = b.alloc_seq();
-            b.schedule_with_seq(k as f64, seq, k);
-        }
-        loop {
-            assert_eq!(a.peek_key(), b.peek_key());
-            let (x, y) = (a.pop(), b.pop());
-            match (x, y) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    assert_eq!(
-                        (x.time.to_bits(), x.seq, x.event),
-                        (y.time.to_bits(), y.seq, y.event)
-                    );
-                }
-                _ => panic!("queues diverged in length"),
-            }
-        }
     }
 
     #[test]

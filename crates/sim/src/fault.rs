@@ -13,20 +13,22 @@
 //!
 //! * **Faults are data, not threads.** Every fault is either a timed
 //!   event (scheduled into the engine's event queue at config time, so
-//!   it dispatches in exact global `(time, seq)` order under any shard
-//!   count) or a seeded-stochastic draw keyed by stable identifiers
-//!   (`hash_uniform` over transmission ids / station indices), never by
-//!   host state. Faults-on output is therefore byte-identical across
-//!   `--threads` and `--shards`, and faults-off runs never touch this
-//!   module at all.
+//!   it dispatches in exact global `(time, seq)` order) or a
+//!   seeded-stochastic draw keyed by stable identifiers (`hash_uniform`
+//!   over transmission ids / station indices), never by host state.
+//!   Faults-on output is therefore byte-identical across `--threads`,
+//!   and faults-off runs never touch this module at all.
 //! * **Faults act at dispatch points only.** A fault may change what a
 //!   transmission *experiences* (its fate, its feedback, whether its
-//!   sender may transmit) but never what a concurrent carrier sense
-//!   *observes*: the sharded engine precomputes senses in parallel
-//!   against frozen active sets, so anything that altered a sense
-//!   verdict between barriers would break shard invariance. All five
-//!   fault classes respect this (the jammer, in particular, corrupts
-//!   receptions rather than occupying the medium).
+//!   sender may transmit) but never what a carrier sense *observes*.
+//!   Carrier sense reads only the active-transmission set, and the
+//!   spatial medium answers it from an index of those transmissions
+//!   whose pruning is proven exact against a plain scan (DESIGN.md §7);
+//!   a fault that occupied the medium would need a second, unindexed
+//!   source of busy time in every sense path. All five fault classes
+//!   respect this (the jammer, in particular, corrupts receptions
+//!   rather than occupying the medium, as a non-802.11 interferer that
+//!   no station defers to would).
 //! * **Every loss is attributed.** Frames killed by an outage or a
 //!   jammer carry their own [`FaultLoss`] cause through the engine into
 //!   telemetry, keeping the per-station balance invariant
@@ -76,8 +78,9 @@ pub struct ApOutage {
 /// signal-to-jammer ratio at the receiver falls below the capture SIR
 /// threshold is corrupted (a [`FaultLoss::Jamming`] loss). The jammer
 /// does not occupy the medium for carrier sense — it attacks
-/// receptions, not airtime, which is both physically defensible for a
-/// non-802.11 interferer and required for shard invariance.
+/// receptions, not airtime, which is physically defensible for a
+/// non-802.11 interferer and keeps carrier sense a function of the
+/// active-transmission set alone.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Jammer {
     /// Jammer x position, metres.
@@ -207,7 +210,7 @@ impl FaultDriver {
 
     /// Degrades the SoftPHY feedback on `outcome` in place. Keyed by
     /// `tx_id` (globally ordered by construction) so the draw stream is
-    /// independent of thread/shard scheduling. ACK state is never
+    /// independent of thread scheduling. ACK state is never
     /// touched: hint loss models a degraded SoftPHY pipeline, not a
     /// broken link layer.
     pub fn corrupt_hints(&mut self, tx_id: u64, outcome: &mut TxOutcome) {

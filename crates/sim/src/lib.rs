@@ -12,7 +12,7 @@
 //! * [`fault`] — deterministic fault injection (`softrate-faults`): AP
 //!   outages, jammer bursts, noise-floor steps, station churn, and
 //!   SoftPHY hint corruption, all timed-event or seeded-stochastic so
-//!   faulted runs stay byte-identical across thread and shard counts.
+//!   faulted runs stay byte-identical across thread counts.
 //! * [`feedback`] — the §6.4 collision-feedback semantics, shared with the
 //!   multi-cell spatial simulator (`softrate-net`).
 //! * [`mac`] — the generic DCF engine ([`mac::MacEngine`]) behind every
@@ -31,7 +31,7 @@
 //!   flows, and rate-selection auditing against the omniscient oracle).
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod event;
@@ -39,7 +39,6 @@ pub mod fault;
 pub mod feedback;
 pub mod mac;
 pub mod netsim;
-pub mod shard;
 pub mod tcp;
 pub mod timing;
 pub mod transport;

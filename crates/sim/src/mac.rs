@@ -360,33 +360,9 @@ pub struct MacCore<E, I> {
     /// the feedback the *adapter* sees after the ground-truth fate is
     /// drawn and recorded — telemetry keeps observing the truth.
     pub faults: Option<FaultDriver>,
-    /// Sharded-run routing, installed only by the PDES scheduler
-    /// (`crate::shard`): channel-access schedules beyond the window
-    /// horizon are staged to their sender's domain wheel instead of the
-    /// near queue. `None` on sequential runs — one branch of overhead.
-    pub(crate) route: Option<Box<ShardRoute<E>>>,
     params: MacParams,
     rng: SmallRng,
     next_tx_id: u64,
-}
-
-/// Cross-domain event routing for sharded runs (see `crate::shard`). The
-/// near queue (`MacCore::events`) keeps everything inside the current
-/// window plus the rare engine-scheduled events (TxEnd, Outcome, medium
-/// timers); the overwhelming bulk — channel-access schedules — is staged
-/// per spatial domain and applied to the domain wheels at the next window
-/// barrier.
-pub(crate) struct ShardRoute<E> {
-    /// End of the window being dispatched: schedules earlier than this
-    /// join the near queue (they must interleave with the live merge).
-    pub(crate) horizon: f64,
-    /// Sender → spatial domain (load-balance only: ordering is restored
-    /// by the global `(time, seq)` merge, so the map may go stale across
-    /// handoffs without affecting results).
-    pub(crate) domain_of: Vec<u32>,
-    /// Staged `(time, seq, event)` triples per domain, applied to the
-    /// domain wheels in parallel at the window barrier.
-    pub(crate) stage: Vec<Vec<(f64, u64, MacEv<E>)>>,
 }
 
 impl<E, I> MacCore<E, I> {
@@ -408,7 +384,6 @@ impl<E, I> MacCore<E, I> {
                 ctx: DecisionCtx::disabled(),
             },
             faults: None,
-            route: None,
             rng: SmallRng::seed_from_u64(params.backoff_seed),
             params,
             next_tx_id: 1,
@@ -449,27 +424,7 @@ impl<E, I> MacCore<E, I> {
         let slots = self.rng.gen_range(0..=cw) as f64;
         let at = after.unwrap_or(self.events.now()) + DIFS + slots * SLOT;
         self.lanes.start_pending[sender] = true;
-        match self.route.as_deref_mut() {
-            None => self.events.schedule(at, MacEv::TxStart { sender }),
-            Some(rt) => {
-                // Sharded run: the sequence number still comes from the
-                // near queue's counter (identical assignment order to the
-                // sequential engine); only the storage differs.
-                let seq = self.events.alloc_seq();
-                // `<=`: an arrival exactly at the horizon must dispatch in
-                // the *current* window — the merge includes near events with
-                // `t <= horizon`, so staging it would let a same-time event
-                // with a larger seq jump ahead (seen on the 10k city rung,
-                // where roam-wave timers make exact-horizon hits routine).
-                if at <= rt.horizon {
-                    self.events
-                        .schedule_with_seq(at, seq, MacEv::TxStart { sender });
-                } else {
-                    let d = rt.domain_of[sender] as usize;
-                    rt.stage[d].push((at, seq, MacEv::TxStart { sender }));
-                }
-            }
-        }
+        self.events.schedule(at, MacEv::TxStart { sender });
     }
 }
 
@@ -611,12 +566,6 @@ pub struct PhaseProfile {
     pub outcome_s: f64,
     /// Residual: event-queue push/pop, dispatch, stats.
     pub queue_s: f64,
-    /// Sharded runs only: wall seconds in the PDES window machinery —
-    /// applying cross-domain staged events, draining domain wheels to the
-    /// window horizon, precomputing carrier senses against the frozen
-    /// active set, and the window barriers themselves. Zero on sequential
-    /// runs.
-    pub sync_s: f64,
     /// Whole-run wall seconds.
     pub total_s: f64,
     /// TxStart events that found the medium busy and deferred.
@@ -624,15 +573,13 @@ pub struct PhaseProfile {
     /// TxStart events that transmitted.
     pub transmissions: u64,
     /// Active-transmission entries carrier sense examined, summed over
-    /// every in-place sense — a host-independent work count (filled in by
-    /// media that keep one; sharded runs count only the senses evaluated
-    /// in place, not the ones precomputed on worker threads).
+    /// every sense — a host-independent work count (filled in by media
+    /// that keep one).
     pub sense_candidates: u64,
     /// Same-tick drains of width ≥ 2 in [`MacEngine::run`]: ticks whose
     /// drain popped more than one event before dispatching (singleton
     /// ticks go uncounted). A host-independent count, like the two fields
-    /// below. Sequential runs only: the sharded merge dispatches events
-    /// one at a time, so sharded runs leave all three at zero.
+    /// below.
     pub cohorts: u64,
     /// Widest same-tick drain seen.
     pub cohort_max: u64,
@@ -650,7 +597,7 @@ pub struct MacEngine<M: Medium> {
     pub medium: M,
     /// Phase timers, populated only by [`MacEngine::run_profiled`] (the
     /// unprofiled [`MacEngine::run`] never looks at the clock).
-    pub(crate) profile: Option<Box<PhaseProfile>>,
+    profile: Option<Box<PhaseProfile>>,
 }
 
 impl<M: Medium> MacEngine<M> {
@@ -708,9 +655,8 @@ impl<M: Medium> MacEngine<M> {
         }
     }
 
-    /// Dispatches one engine event — the single body behind both the
-    /// drain loop above and the sharded merge loop.
-    pub(crate) fn dispatch(&mut self, ev: MacEv<M::Event>) {
+    /// Dispatches one engine event.
+    fn dispatch(&mut self, ev: MacEv<M::Event>) {
         match ev {
             MacEv::TxStart { sender } => self.on_tx_start(sender),
             MacEv::TxEnd { tx } => self.on_tx_end(tx),
@@ -737,13 +683,7 @@ impl<M: Medium> MacEngine<M> {
         self.profile = Some(Box::default());
         let started = std::time::Instant::now();
         self.run(duration);
-        self.finish_profile(started)
-    }
-
-    /// Closes out a profiled run started by [`MacEngine::run_profiled`]
-    /// or the sharded equivalent: folds everything unattributed into
-    /// `queue_s`.
-    pub(crate) fn finish_profile(&mut self, started: std::time::Instant) -> PhaseProfile {
+        // Everything the phase timers did not attribute is queue time.
         let mut p = *self.profile.take().expect("profiling was enabled");
         p.total_s = started.elapsed().as_secs_f64();
         p.queue_s = p.total_s
@@ -753,8 +693,7 @@ impl<M: Medium> MacEngine<M> {
             - p.fate_s
             - p.medium_ev_s
             - p.transport_s
-            - p.outcome_s
-            - p.sync_s;
+            - p.outcome_s;
         p
     }
 
@@ -838,17 +777,6 @@ impl<M: Medium> MacEngine<M> {
     }
 
     fn on_tx_start(&mut self, sender: usize) {
-        self.on_tx_start_with(sender, None);
-    }
-
-    /// [`MacEngine::on_tx_start`] with an optionally injected carrier-sense
-    /// verdict. The shard scheduler precomputes senses against the frozen
-    /// window-start active set in parallel and injects any that survived
-    /// the range-band invalidation check; `None` (and the sequential
-    /// engine always) evaluates [`Medium::carrier_sense`] in place. An
-    /// injected verdict must equal what `carrier_sense` would return at
-    /// this exact dispatch point — the shard-invariance suite pins that.
-    pub(crate) fn on_tx_start_with(&mut self, sender: usize, pre: Option<Option<f64>>) {
         let core = &mut self.core;
         core.lanes.start_pending[sender] = false;
         if core.lanes.busy[sender] {
@@ -862,17 +790,11 @@ impl<M: Medium> MacEngine<M> {
             return;
         };
 
-        let sensed = match pre {
-            Some(sensed) => sensed,
-            None => {
-                let t0 = self.profile.as_deref().map(|_| std::time::Instant::now());
-                let sensed = self.medium.carrier_sense(core, sender);
-                if let (Some(t0), Some(p)) = (t0, self.profile.as_deref_mut()) {
-                    p.sense_s += t0.elapsed().as_secs_f64();
-                }
-                sensed
-            }
-        };
+        let t0 = self.profile.as_deref().map(|_| std::time::Instant::now());
+        let sensed = self.medium.carrier_sense(core, sender);
+        if let (Some(t0), Some(p)) = (t0, self.profile.as_deref_mut()) {
+            p.sense_s += t0.elapsed().as_secs_f64();
+        }
         if let Some(until) = sensed {
             if let Some(p) = self.profile.as_deref_mut() {
                 p.deferrals += 1;
@@ -966,7 +888,7 @@ impl<M: Medium> MacEngine<M> {
         }
     }
 
-    pub(crate) fn on_tx_end(&mut self, tx_id: u64) {
+    fn on_tx_end(&mut self, tx_id: u64) {
         let core = &mut self.core;
         let idx = core
             .active
@@ -983,7 +905,7 @@ impl<M: Medium> MacEngine<M> {
         core.pending.push(tx);
     }
 
-    pub(crate) fn on_outcome(&mut self, tx_id: u64) {
+    fn on_outcome(&mut self, tx_id: u64) {
         let core = &mut self.core;
         let idx = core
             .pending

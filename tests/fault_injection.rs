@@ -3,9 +3,9 @@
 //! The hard invariants, end to end through the facade crate:
 //!
 //! * determinism — a faulted run's results, metrics, trace, and decision
-//!   streams are byte-identical across `--threads 1/2/8` and
-//!   `--shards 1/2/4`, including under proptest-generated fault
-//!   schedules mixing all five fault classes;
+//!   streams are byte-identical across `--threads 1/2/8`, including
+//!   under proptest-generated fault schedules mixing all five fault
+//!   classes;
 //! * invisibility when off — a spec with an empty `[faults]` table
 //!   produces byte-identical streams to the same spec without the
 //!   table, on both media;
@@ -42,15 +42,13 @@ fn full_recorder() -> RecorderConfig {
 
 /// Runs a spec and returns all four streams in matrix order:
 /// `(results, metrics, trace, decisions)`.
-fn streams(spec: &ScenarioSpec, threads: usize, shards: usize) -> (String, String, String, String) {
+fn streams(spec: &ScenarioSpec, threads: usize) -> (String, String, String, String) {
     let plans = expand(spec).expect("spec expands");
     let with = run_all_with_options(
         &plans,
         &RunOptions {
             threads: Some(threads),
             telemetry: Some(full_recorder()),
-            shards,
-            shard_workers: None,
         },
     );
     let results: Vec<_> = with.iter().map(|(r, _)| r.clone()).collect();
@@ -112,7 +110,7 @@ fn ap_blackout_reassociates_attributes_and_recovers() {
         at: 0.75,
         duration: 0.75,
     });
-    let (results, metrics, _, _) = streams(&spec, 2, 1);
+    let (results, metrics, _, _) = streams(&spec, 2);
     assert_eq!(results.lines().count(), 1, "one run, no panic rows");
     // Fault lifecycle and re-association are on the record.
     assert!(metrics.contains("\"fault\":\"ap_outage\""), "{metrics}");
@@ -161,7 +159,7 @@ fn ap_blackout_streams_match_their_pinned_digests() {
         at: 0.4,
         duration: 0.5,
     });
-    let (results, metrics, trace, decisions) = streams(&spec, 1, 1);
+    let (results, metrics, trace, decisions) = streams(&spec, 1);
     assert!(
         metrics.contains("\"fault\":\"ap_outage\""),
         "the outage must actually fire"
@@ -196,7 +194,7 @@ fn jammer_losses_balance_and_streams_validate() {
         at: 0.4,
         duration: 0.4,
     });
-    let (_, metrics, trace, decisions) = streams(&spec, 2, 1);
+    let (_, metrics, trace, decisions) = streams(&spec, 2);
     let (report, balanced) = summarize_with(&metrics, None).expect("summarizes");
     assert!(
         balanced,
@@ -223,7 +221,7 @@ fn empty_faults_table_is_byte_invisible_on_both_media() {
         let mut spec = builtin::get(name).expect("builtin exists");
         spec.duration = 0.4;
         spec.adapters = Some(vec![AdapterSpec::SoftRate]);
-        let off = streams(&spec, 2, 1);
+        let off = streams(&spec, 2);
         spec.faults = Some(FaultsSpec {
             ap_outage: None,
             jammer: None,
@@ -231,7 +229,7 @@ fn empty_faults_table_is_byte_invisible_on_both_media() {
             churn: None,
             hint: None,
         });
-        let noop = streams(&spec, 2, 1);
+        let noop = streams(&spec, 2);
         assert_eq!(off, noop, "{name}: an empty [faults] table must be free");
     }
 }
@@ -243,10 +241,9 @@ proptest! {
 
     // The tentpole determinism invariant under *generated* fault
     // schedules: all five classes active at proptest-chosen times and
-    // intensities, and every stream byte-identical across thread and
-    // shard counts.
+    // intensities, and every stream byte-identical across thread counts.
     #[test]
-    fn generated_fault_schedules_are_thread_and_shard_invariant(
+    fn generated_fault_schedules_are_thread_invariant(
         out_at in 0.05f64..0.35,
         out_dur in 0.1f64..0.3,
         jam_at in 0.1f64..0.5,
@@ -277,12 +274,12 @@ proptest! {
             }),
             hint: Some(HintFaultsSpec { drop_prob: Some(drop_prob), quantize_db: Some(2.0) }),
         });
-        let a = streams(&spec, 1, 1);
-        let b = streams(&spec, 2, 2);
-        let c = streams(&spec, 8, 4);
+        let a = streams(&spec, 1);
+        let b = streams(&spec, 2);
+        let c = streams(&spec, 8);
         prop_assert!(!a.1.is_empty(), "metrics must flow");
-        prop_assert_eq!(&a, &b, "threads/shards 2 diverged from sequential");
-        prop_assert_eq!(&b, &c, "threads 8 / shards 4 diverged");
+        prop_assert_eq!(&a, &b, "threads 2 diverged from threads 1");
+        prop_assert_eq!(&b, &c, "threads 8 diverged from threads 2");
         // The schedule actually fired: lifecycle rows are present.
         prop_assert!(a.1.contains("\"kind\":\"fault\""));
     }

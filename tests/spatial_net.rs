@@ -6,12 +6,8 @@ use softrate::net::mobility::MobilitySpec;
 use softrate::net::sim::{SpatialConfig, SpatialSim};
 use softrate::net::spatial::{HandoffPolicy, RoamingSpec, SpatialSpec};
 use softrate::scenario::builtin;
-use softrate::scenario::engine::{
-    expand, run_all, run_all_with_options, telemetry_decisions_jsonl, telemetry_metrics_jsonl,
-    to_jsonl, RunOptions,
-};
+use softrate::scenario::engine::{expand, run_all, to_jsonl};
 use softrate::sim::config::AdapterKind;
-use softrate::telemetry::RecorderConfig;
 
 /// The acceptance-scale scenario: >= 100 stations, >= 3 APs, streaming
 /// channels only (the spatial path never materializes a `LinkTrace`).
@@ -187,125 +183,6 @@ fn roaming_tcp_download_delivers_across_handoffs_under_both_policies() {
             "{policy}: too many stalled flows ({alive}/{})",
             r.per_flow_goodput_bps.len()
         );
-    }
-}
-
-// ---- Shard invariance (the conservative parallel scheduler) ------------
-
-/// Runs a scenario at a given domain count with the full telemetry
-/// recorder attached and returns every observable byte stream: results
-/// JSONL, interval-metrics JSONL, and the rate-decision ledger JSONL.
-fn all_streams(spec: &softrate::scenario::spec::ScenarioSpec, shards: usize) -> [String; 3] {
-    let plans = expand(spec).expect("expands");
-    let opts = RunOptions {
-        threads: Some(1),
-        telemetry: Some(RecorderConfig {
-            decisions: true,
-            ..RecorderConfig::default()
-        }),
-        shards,
-        shard_workers: None,
-    };
-    let results = run_all_with_options(&plans, &opts);
-    let jsonl = to_jsonl(&results.iter().map(|(r, _)| r.clone()).collect::<Vec<_>>());
-    [
-        jsonl,
-        telemetry_metrics_jsonl(&results),
-        telemetry_decisions_jsonl(&results),
-    ]
-}
-
-/// Acceptance: the conservative parallel scheduler is output-invariant on
-/// the dense UDP builtin — results, interval metrics, and the decision
-/// ledger are byte-identical for `--shards 1/2/4`.
-#[test]
-fn dense_enterprise_is_byte_identical_across_shard_counts() {
-    let mut spec = dense();
-    spec.duration = 0.5;
-    let base = all_streams(&spec, 1);
-    assert!(base.iter().all(|s| !s.is_empty()));
-    for shards in [2, 4] {
-        let got = all_streams(&spec, shards);
-        for (i, name) in ["results", "metrics", "decisions"].iter().enumerate() {
-            assert_eq!(
-                base[i], got[i],
-                "{name} JSONL must be byte-identical at {shards} shards"
-            );
-        }
-    }
-}
-
-/// Acceptance: shard invariance holds under flow traffic too — the
-/// roaming TCP download (mobility + handoffs + NewReno timers) produces
-/// identical streams for `--shards 1/2/4`.
-#[test]
-fn roaming_tcp_download_is_byte_identical_across_shard_counts() {
-    let mut spec = builtin::get("roaming-tcp-download").expect("builtin exists");
-    spec.duration = 3.0;
-    let base = all_streams(&spec, 1);
-    assert!(base.iter().all(|s| !s.is_empty()));
-    for shards in [2, 4] {
-        let got = all_streams(&spec, shards);
-        for (i, name) in ["results", "metrics", "decisions"].iter().enumerate() {
-            assert_eq!(
-                base[i], got[i],
-                "{name} JSONL must be byte-identical at {shards} shards"
-            );
-        }
-    }
-}
-
-/// A station roaming between APs owned by *different* shards: a 3x1 AP
-/// strip split into 3 x-strip domains puts every AP in its own domain,
-/// so every handoff crosses a domain boundary. The sharded run must see
-/// the same handoffs (and everything else) as the sequential engine.
-#[test]
-fn cross_domain_handoff_is_shard_invariant() {
-    let spec = SpatialSpec {
-        ap_cols: 3,
-        ap_rows: 1,
-        ap_spacing_m: 30.0,
-        n_stations: 12,
-        snr_ref_db: None,
-        path_loss_exp: None,
-        sense_snr_db: None,
-        capture_sir_db: None,
-        doppler_hz: None,
-        mobility: MobilitySpec::RandomWaypoint {
-            speed_mps: 10.0,
-            pause_s: 0.0,
-        },
-        roaming: Some(RoamingSpec {
-            hysteresis_db: 1.0,
-            check_interval_s: Some(0.1),
-            handoff: HandoffPolicy::Reset,
-        }),
-    };
-    let run = |shards: usize| {
-        let mut cfg = SpatialConfig::new(AdapterKind::SoftRate, spec.clone());
-        cfg.duration = 4.0;
-        cfg.shards = shards;
-        SpatialSim::new(cfg).expect("valid").run()
-    };
-    let seq = run(1);
-    assert!(seq.handoffs > 0, "fast walkers over 3 cells must roam");
-    // In a 1-row strip the AP index is the column, and with 3 domains over
-    // 3 columns every from->to pair changes column, hence domain.
-    assert!(seq.handoff_log.iter().all(|h| h.from != h.to));
-    for shards in [2, 3] {
-        let par = run(shards);
-        assert_eq!(
-            seq.events_processed, par.events_processed,
-            "{shards} shards: event count must match sequential"
-        );
-        assert_eq!(
-            seq.handoff_log, par.handoff_log,
-            "{shards} shards: cross-domain handoffs must replay identically"
-        );
-        assert_eq!(seq.frames_sent, par.frames_sent);
-        assert_eq!(seq.frames_delivered, par.frames_delivered);
-        assert_eq!(seq.collisions, par.collisions);
-        assert_eq!(seq.per_flow_goodput_bps, par.per_flow_goodput_bps);
     }
 }
 
