@@ -1,8 +1,7 @@
 //! Criterion micro-benchmarks of the discrete-event queue: push/pop churn
 //! is the hot loop of the multi-cell spatial simulator (a few events in
 //! flight per station, hundreds of stations, minutes of sim time), so its
-//! throughput — and the effect of preallocating with `with_capacity` —
-//! gets pinned down here.
+//! throughput gets pinned down here, for a backlog and for steady churn.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
@@ -30,7 +29,7 @@ fn bench_eventqueue(c: &mut Criterion) {
     for n in [1_000usize, 100_000] {
         let ts = times(n);
         g.throughput(Throughput::Elements(2 * n as u64));
-        g.bench_with_input(BenchmarkId::new("fill_drain_new", n), &ts, |b, ts| {
+        g.bench_with_input(BenchmarkId::new("fill_drain", n), &ts, |b, ts| {
             b.iter(|| {
                 let mut q = EventQueue::new();
                 for (i, &t) in ts.iter().enumerate() {
@@ -43,23 +42,6 @@ fn bench_eventqueue(c: &mut Criterion) {
                 acc
             })
         });
-        g.bench_with_input(
-            BenchmarkId::new("fill_drain_with_capacity", n),
-            &ts,
-            |b, ts| {
-                b.iter(|| {
-                    let mut q = EventQueue::with_capacity(ts.len());
-                    for (i, &t) in ts.iter().enumerate() {
-                        q.schedule(t, i as u32);
-                    }
-                    let mut acc = 0u64;
-                    while let Some(e) = q.pop() {
-                        acc = acc.wrapping_add(e.event as u64);
-                    }
-                    acc
-                })
-            },
-        );
     }
 
     // Steady-state churn: the simulator's actual shape — a bounded number
@@ -69,7 +51,7 @@ fn bench_eventqueue(c: &mut Criterion) {
         g.throughput(Throughput::Elements(100_000));
         g.bench_with_input(BenchmarkId::new("churn", pending), &ts, |b, ts| {
             b.iter(|| {
-                let mut q = EventQueue::with_capacity(ts.len() + 1);
+                let mut q = EventQueue::new();
                 for (i, &t) in ts.iter().enumerate() {
                     q.schedule(t, i as u32);
                 }

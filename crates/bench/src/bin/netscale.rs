@@ -21,7 +21,9 @@
 //! `--smoke` (or `SOFTRATE_SMOKE=1`) shrinks the ladder and the duration.
 //! `--profile` additionally prints a per-phase wall-time breakdown
 //! (sense / begin / collision / fate / roam / transport / outcome /
-//! queue+dispatch) per ladder point, so future perf PRs know where the
+//! queue+dispatch) per ladder point, plus host-independent work counts
+//! (sense candidates, same-tick drain widths, event-wheel pushes,
+//! spills, teleports and buffers), so future perf PRs know where the
 //! time goes. Profiled rows keep identical simulation results but carry
 //! timer overhead, so the JSON is only refreshed on unprofiled runs.
 //! `--gate` is the CI perf check: one quick 400-station measurement that
@@ -302,6 +304,12 @@ fn print_profile(p: &PhaseProfile) {
     println!(
         "                   same-tick drains {}  width p50 {}  p95 {}  max {}",
         p.cohorts, p50, p95, p.cohort_max,
+    );
+    // Event-wheel work: ring pushes, far-future spills, idle-gap jumps
+    // and the bucket buffers the pool holds.
+    println!(
+        "                   wheel pushes {}  spills {}  teleports {}  buffers {}",
+        p.wheel.pushes, p.wheel.spills, p.wheel.teleports, p.wheel.buffers,
     );
 }
 

@@ -2077,6 +2077,41 @@ mod tests {
         );
     }
 
+    /// The event wheel's work counts on a small fixed deployment, pinned
+    /// exactly: a change in how events reach the ring, the overflow heap
+    /// or the buffer pool shows up here without a clock. Roaming checks
+    /// every 100 ms and TCP timers land beyond the wheel's ~16 ms span,
+    /// so the overflow heap is exercised too.
+    #[test]
+    fn wheel_counters_are_pinned_on_a_fixed_deployment() {
+        let mut spec = small_spec(3, 40.0, 24);
+        spec.sense_snr_db = Some(25.0);
+        spec.mobility = MobilitySpec::RandomWaypoint {
+            speed_mps: 3.0,
+            pause_s: 0.5,
+        };
+        spec.roaming = Some(RoamingSpec {
+            hysteresis_db: 3.0,
+            check_interval_s: Some(0.1),
+            handoff: HandoffPolicy::Preserve,
+        });
+        let mut cfg = SpatialConfig::new(AdapterKind::SoftRate, spec);
+        cfg.traffic = flows(TrafficKind::Tcp, true);
+        cfg.duration = 1.0;
+        let (r, p) = SpatialSim::new(cfg).expect("valid spec").run_profiled();
+        let w = p.wheel;
+        assert_eq!(
+            (
+                r.events_processed,
+                w.pushes,
+                w.spills,
+                w.teleports,
+                w.buffers
+            ),
+            (33_412, 31_829, 3_240, 0, 83)
+        );
+    }
+
     #[test]
     fn hundred_stations_three_aps_runs_fast_and_streams() {
         // The acceptance-scale shape: >= 100 stations, >= 3 APs, no trace

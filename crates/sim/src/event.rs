@@ -10,16 +10,27 @@
 //! empty the cursor teleports to the overflow's minimum instead of
 //! scanning empty buckets.
 //!
+//! Bucket storage is **pooled**, not owned per slot. An empty slot holds
+//! no buffer; its first push takes the most recently emptied buffer from
+//! a LIFO pool (still warm in cache), the cursor swaps a full bucket into
+//! the drain buffer instead of copying it, and the drained buffer goes
+//! back to the pool. The queue therefore holds about as many buffers as
+//! there are non-empty buckets at once, not one per slot at the size its
+//! busiest generation ever reached. Buckets sort on an integer key,
+//! `(time_key(time), seq)`, where `time_key` is the bit transform
+//! inside `f64::total_cmp`.
+//!
 //! Ordering is **identical** to a single global priority queue: `(time,
 //! seq)` keys form a strict total order (sequence numbers are unique),
 //! the bucket map `t ↦ ⌊t/width⌋` is monotone (ties in time share a
 //! bucket, so FIFO resolution by `seq` happens inside one sort), and the
 //! overflow heap feeds events into their buckets before the cursor can
 //! reach them. Pops are therefore the exact sequence a `BinaryHeap`
-//! produced. Only the constants (bucket width, wheel span) are tuning —
-//! they cannot affect order, only speed.
+//! produced. Only the constants (bucket width, wheel span) and the buffer
+//! pooling are tuning — they cannot affect order, only speed.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
+use std::mem;
 
 /// A scheduled event.
 #[derive(Debug, Clone)]
@@ -39,18 +50,26 @@ impl<E> PartialEq for Scheduled<E> {
 }
 impl<E> Eq for Scheduled<E> {}
 
-/// Strict `(time, seq)` min-order.
+/// `t` as an integer that orders exactly as `f64::total_cmp` does: the
+/// same transform the standard library applies inside `total_cmp`
+/// (negative values have their magnitude bits flipped), so `-0.0` sorts
+/// before `0.0` and equal times give equal keys.
 #[inline]
-fn before<E>(a: &Scheduled<E>, b: &Scheduled<E>) -> bool {
-    matches!(
-        a.time.total_cmp(&b.time).then_with(|| a.seq.cmp(&b.seq)),
-        Ordering::Less
-    )
+fn time_key(t: f64) -> i64 {
+    let bits = t.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The strict `(time, seq)` sort key.
+#[inline]
+fn key<E>(e: &Scheduled<E>) -> (i64, u64) {
+    (time_key(e.time), e.seq)
 }
 
 /// Wheel size (power of two).
 const WHEEL_BITS: usize = 11;
 const WHEEL_BUCKETS: usize = 1 << WHEEL_BITS;
+const SLOT_MASK: u64 = WHEEL_BUCKETS as u64 - 1;
 
 /// Bucket width, seconds. 8 µs is slot-scale: dense simulations land a
 /// handful of events per bucket (one short sort each), sparse ones skip
@@ -68,15 +87,37 @@ fn bucket_of(t: f64) -> u64 {
     (t * INV_BUCKET_WIDTH) as u64
 }
 
+/// Host-independent counts of the wheel's work since the queue was built.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WheelCounters {
+    /// Events appended to a ring bucket, by `schedule` or by migration
+    /// out of the overflow heap.
+    pub pushes: u64,
+    /// Events scheduled a full wheel span or more ahead, into the
+    /// overflow heap.
+    pub spills: u64,
+    /// Idle gaps the cursor jumped instead of walking: the wheel was
+    /// empty and the cursor moved straight to the overflow's minimum.
+    pub teleports: u64,
+    /// Bucket buffers the queue holds (in slots, the drain buffer and the
+    /// pool). Buffers are never freed, so this is also the peak.
+    pub buffers: u64,
+}
+
+type Bucket<E> = Vec<Scheduled<E>>;
+
 /// A deterministic event queue.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The bucket ring; slot `b & (WHEEL_BUCKETS-1)` holds bucket `b`'s
-    /// events, unsorted, for the single in-flight wheel generation.
-    slots: Vec<Vec<Scheduled<E>>>,
+    /// The bucket ring; slot `b & SLOT_MASK` holds bucket `b`'s events,
+    /// unsorted, for the single in-flight wheel generation. An empty slot
+    /// holds an unallocated `Vec`.
+    slots: Vec<Bucket<E>>,
+    /// Empty bucket buffers, most recently emptied last.
+    pool: Vec<Bucket<E>>,
     /// The bucket the cursor is draining: sorted descending, popped from
     /// the back (earliest first).
-    cur: Vec<Scheduled<E>>,
+    cur: Bucket<E>,
     /// Absolute index of the bucket `cur` was taken from.
     cur_bucket: u64,
     /// Events at least a full wheel span ahead: a 4-ary min-heap. They
@@ -87,12 +128,14 @@ pub struct EventQueue<E> {
     len: usize,
     next_seq: u64,
     now: f64,
+    counters: WheelCounters,
 }
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
             slots: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
+            pool: Vec::new(),
             cur: Vec::new(),
             cur_bucket: 0,
             overflow: Vec::new(),
@@ -100,7 +143,20 @@ impl<E> Default for EventQueue<E> {
             len: 0,
             next_seq: 0,
             now: 0.0,
+            counters: WheelCounters::default(),
         }
+    }
+}
+
+/// Gives `buf` a buffer from the pool if it has none, counting the
+/// buffers the pool had to create.
+#[inline]
+fn ensure_buffer<E>(buf: &mut Bucket<E>, pool: &mut Vec<Bucket<E>>, counters: &mut WheelCounters) {
+    if buf.capacity() == 0 {
+        *buf = pool.pop().unwrap_or_else(|| {
+            counters.buffers += 1;
+            Vec::new()
+        });
     }
 }
 
@@ -110,34 +166,14 @@ impl<E> EventQueue<E> {
         Self::default()
     }
 
-    /// An empty queue at time zero with the non-ring tiers (the drain
-    /// buffer and the far-future heap) sized for `capacity` pending
-    /// events. Ring buckets warm up over the first wheel rotation and
-    /// keep their storage thereafter, so steady-state push/pop is
-    /// allocation-free either way.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            cur: Vec::with_capacity(capacity),
-            overflow: Vec::with_capacity(capacity),
-            ..Self::default()
-        }
-    }
-
-    /// Reserves room for at least `additional` more pending events in the
-    /// non-ring tiers.
-    pub fn reserve(&mut self, additional: usize) {
-        self.cur.reserve(additional);
-        self.overflow.reserve(additional);
-    }
-
-    /// Pending events the non-ring tiers can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.cur.capacity() + self.overflow.capacity()
-    }
-
     /// Current simulation time (time of the last popped event).
     pub fn now(&self) -> f64 {
         self.now
+    }
+
+    /// The wheel's work counts so far.
+    pub fn counters(&self) -> WheelCounters {
+        self.counters
     }
 
     /// Schedules `event` at absolute time `time`. Times in the past are
@@ -152,12 +188,14 @@ impl<E> EventQueue<E> {
         if b <= self.cur_bucket {
             // `time >= now` forces `b == cur_bucket` once the cursor has
             // moved: the event joins the bucket being drained, in order.
-            let at = self.cur.partition_point(|e| before(&ev, e));
+            ensure_buffer(&mut self.cur, &mut self.pool, &mut self.counters);
+            let k = key(&ev);
+            let at = self.cur.partition_point(|e| k < key(e));
             self.cur.insert(at, ev);
         } else if b < self.cur_bucket + WHEEL_BUCKETS as u64 {
-            self.slots[(b & (WHEEL_BUCKETS as u64 - 1)) as usize].push(ev);
-            self.wheel_len += 1;
+            self.ring_push(b, ev);
         } else {
+            self.counters.spills += 1;
             self.overflow_push(ev);
         }
     }
@@ -210,16 +248,37 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
+    /// Appends `ev` to ring bucket `b`.
+    #[inline]
+    fn ring_push(&mut self, b: u64, ev: Scheduled<E>) {
+        let slot = &mut self.slots[(b & SLOT_MASK) as usize];
+        ensure_buffer(slot, &mut self.pool, &mut self.counters);
+        slot.push(ev);
+        self.wheel_len += 1;
+        self.counters.pushes += 1;
+    }
+
     /// Moves the cursor to the next non-empty bucket and loads it into
-    /// the drain buffer.
+    /// the (empty) drain buffer.
     fn advance(&mut self) {
+        debug_assert!(self.cur.is_empty());
         if self.wheel_len == 0 {
             // Nothing on the wheel: teleport to the overflow's earliest
             // bucket instead of walking empty slots.
             debug_assert!(!self.overflow.is_empty());
             self.cur_bucket = bucket_of(self.overflow[0].time);
+            self.counters.teleports += 1;
         } else {
             self.cur_bucket += 1;
+        }
+        let slot = &mut self.slots[(self.cur_bucket & SLOT_MASK) as usize];
+        if !slot.is_empty() {
+            // Swap the bucket in; the drained buffer goes back to the pool.
+            self.wheel_len -= slot.len();
+            let drained = mem::replace(&mut self.cur, mem::take(slot));
+            if drained.capacity() > 0 {
+                self.pool.push(drained);
+            }
         }
         // Let far-future events whose bucket just became representable
         // enter the ring.
@@ -231,21 +290,15 @@ impl<E> EventQueue<E> {
             let ev = self.overflow_pop();
             let b = bucket_of(ev.time);
             if b <= self.cur_bucket {
+                ensure_buffer(&mut self.cur, &mut self.pool, &mut self.counters);
                 self.cur.push(ev); // lands in the bucket being loaded
             } else {
-                self.slots[(b & (WHEEL_BUCKETS as u64 - 1)) as usize].push(ev);
-                self.wheel_len += 1;
+                self.ring_push(b, ev);
             }
-        }
-        let slot = &mut self.slots[(self.cur_bucket & (WHEEL_BUCKETS as u64 - 1)) as usize];
-        if !slot.is_empty() {
-            self.wheel_len -= slot.len();
-            self.cur.append(slot);
         }
         if !self.cur.is_empty() {
             // Descending, so pops come off the back earliest-first.
-            self.cur
-                .sort_unstable_by(|a, b| b.time.total_cmp(&a.time).then_with(|| b.seq.cmp(&a.seq)));
+            self.cur.sort_unstable_by_key(|e| Reverse(key(e)));
         }
     }
 
@@ -254,7 +307,7 @@ impl<E> EventQueue<E> {
         let mut i = self.overflow.len() - 1;
         while i > 0 {
             let parent = (i - 1) / ARITY;
-            if before(&self.overflow[i], &self.overflow[parent]) {
+            if key(&self.overflow[i]) < key(&self.overflow[parent]) {
                 self.overflow.swap(i, parent);
                 i = parent;
             } else {
@@ -276,11 +329,11 @@ impl<E> EventQueue<E> {
             }
             let mut min = first;
             for c in (first + 1)..(first + ARITY).min(n) {
-                if before(&self.overflow[c], &self.overflow[min]) {
+                if key(&self.overflow[c]) < key(&self.overflow[min]) {
                     min = c;
                 }
             }
-            if before(&self.overflow[min], &self.overflow[i]) {
+            if key(&self.overflow[min]) < key(&self.overflow[i]) {
                 self.overflow.swap(i, min);
                 i = min;
             } else {
@@ -346,28 +399,29 @@ mod tests {
         assert_eq!(q.pop().unwrap().time, 4.5);
     }
 
+    /// Recycled buffers are invisible: a queue whose pool holds buffers
+    /// of assorted capacities from an earlier busy period pops a new
+    /// workload in the same order as a fresh queue.
     #[test]
-    fn with_capacity_preallocates() {
-        let mut q: EventQueue<u32> = EventQueue::with_capacity(1024);
-        assert!(q.capacity() >= 1024);
-        for k in 0..1024 {
-            q.schedule(k as f64, k);
+    fn pooled_buffers_do_not_change_order() {
+        let mut pooled: EventQueue<usize> = EventQueue::new();
+        for k in 0..3000usize {
+            pooled.schedule((k % 97) as f64 * 3e-5 + (k % 5) as f64 * 1e-3, k);
         }
-        q.reserve(4096);
-        assert!(q.capacity() >= q.len() + 4096);
-    }
-
-    #[test]
-    fn capacity_does_not_change_order() {
-        let mut a: EventQueue<usize> = EventQueue::new();
-        let mut b: EventQueue<usize> = EventQueue::with_capacity(64);
-        for k in [5usize, 1, 3, 1, 2] {
-            a.schedule(k as f64, k);
-            b.schedule(k as f64, k);
+        while pooled.pop().is_some() {}
+        assert!(!pooled.pool.is_empty(), "the busy period filled the pool");
+        let mut fresh: EventQueue<usize> = EventQueue::new();
+        let base = pooled.now();
+        for (k, d) in [5e-3, 1e-5, 3e-6, 1e-5, 2e-5, 0.0, 0.5, 1e-5]
+            .iter()
+            .enumerate()
+        {
+            pooled.schedule(base + d, k);
+            fresh.schedule(*d, k);
         }
-        let oa: Vec<usize> = std::iter::from_fn(|| a.pop().map(|e| e.event)).collect();
-        let ob: Vec<usize> = std::iter::from_fn(|| b.pop().map(|e| e.event)).collect();
-        assert_eq!(oa, ob);
+        let op: Vec<usize> = std::iter::from_fn(|| pooled.pop().map(|e| e.event)).collect();
+        let of: Vec<usize> = std::iter::from_fn(|| fresh.pop().map(|e| e.event)).collect();
+        assert_eq!(op, of);
     }
 
     /// The wheel tiers must be invisible: interleaved pushes and pops
@@ -433,5 +487,53 @@ mod tests {
         assert_eq!(q.pop().unwrap().event, "far");
         assert!(t0.elapsed().as_millis() < 100, "teleport, not scan");
         assert!(q.pop().is_none());
+        assert_eq!(q.counters().teleports, 1);
+    }
+
+    /// The pool holds a buffer per bucket in use at once, plus the drain
+    /// buffer: never more than the peak number of non-empty ring slots
+    /// plus one, however the load moves around the ring.
+    #[test]
+    fn buffers_held_stay_within_peak_nonempty_buckets_plus_one() {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut rng = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut peak_nonempty = 0;
+        for round in 0..20_000u64 {
+            // Bursts: a busy phase with many buckets in flight, then a
+            // quiet one that drains most of them.
+            let busy = (round / 2000) % 2 == 0;
+            let span = if busy { 4000 } else { 40 };
+            let now = q.now();
+            q.schedule(now + (rng() % span) as f64 * 1e-6, round);
+            if round % 7 == 0 {
+                q.schedule(now + 0.1 + (rng() % 100) as f64 * 1e-3, round); // overflow
+            }
+            let mut observe = |q: &EventQueue<u64>| {
+                let nonempty = q.slots.iter().filter(|s| !s.is_empty()).count();
+                peak_nonempty = peak_nonempty.max(nonempty);
+            };
+            observe(&q);
+            if !busy || round % 2 == 0 {
+                q.pop();
+                observe(&q);
+            }
+            assert!(
+                q.counters().buffers as usize <= peak_nonempty + 1,
+                "{} buffers for a peak of {peak_nonempty} non-empty buckets",
+                q.counters().buffers
+            );
+            // Every held buffer is accounted for: slots, drain, pool.
+            let held = q.slots.iter().filter(|s| s.capacity() > 0).count()
+                + usize::from(q.cur.capacity() > 0)
+                + q.pool.len();
+            assert_eq!(held as u64, q.counters().buffers);
+        }
+        assert!(peak_nonempty > 100, "the busy phase spreads over the ring");
     }
 }

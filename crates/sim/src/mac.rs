@@ -27,7 +27,7 @@ use softrate_core::adapter::{DecisionCtx, DecisionTrigger, RateAdapter, TxAttemp
 use softrate_telemetry::{DecisionEvent, LossCause, OutcomeEvent, Recorder, TelemetryReport};
 use softrate_trace::schema::{hash_uniform, FrameFate};
 
-use crate::event::EventQueue;
+use crate::event::{EventQueue, WheelCounters};
 use crate::fault::{FaultDriver, FaultLoss};
 use crate::feedback::{apply_collision_feedback, CollisionTiming, HEADER_AIRTIME_FRAC};
 use crate::timing::{
@@ -366,14 +366,14 @@ pub struct MacCore<E, I> {
 }
 
 impl<E, I> MacCore<E, I> {
-    /// A core for `n_senders` transmitters driving `ports`, with the event
-    /// queue preallocated for a few in-flight events per sender (the same
-    /// sizing the spatial simulator established; reallocation pauses show
-    /// up directly in events/sec at scale).
+    /// A core for `n_senders` transmitters driving `ports`. The event
+    /// queue starts empty: its bucket buffers are pooled and recycled, so
+    /// it grows only to the events actually in flight and steady-state
+    /// push/pop allocates nothing.
     pub fn new(n_senders: usize, ports: Vec<Port>, params: MacParams) -> Self {
         let n_ports = ports.len();
         MacCore {
-            events: EventQueue::with_capacity(n_senders * 8),
+            events: EventQueue::new(),
             lanes: StationLanes::new(n_senders, n_ports),
             ports,
             active: Vec::new(),
@@ -587,6 +587,8 @@ pub struct PhaseProfile {
     /// bucket `i < 15` counts drains of width `i + 1`; bucket 15 counts
     /// widths ≥ 16. Percentiles (p50/p95) fall out of the cumulative sum.
     pub cohort_hist: [u64; 16],
+    /// The event wheel's work counts over the run (host-independent).
+    pub wheel: WheelCounters,
 }
 
 /// The generic DCF discrete-event engine: one MAC, many media.
@@ -618,9 +620,8 @@ impl<M: Medium> MacEngine<M> {
     /// event already queued at this tick precedes anything a handler can
     /// newly schedule: draining the tick and dispatching in pop order *is*
     /// the plain `(time, seq)` pop order, and a handler-scheduled
-    /// same-tick event simply opens the next drain. The drain is kept
-    /// because it measurably pays: without it the 10,000-station
-    /// benchmark runs about a third slower (DESIGN.md §13).
+    /// same-tick event simply opens the next drain. DESIGN.md §13 records
+    /// what the drain costs and saves.
     pub fn run(&mut self, duration: f64) {
         self.core.sync_ledger();
         self.medium.kickoff(&mut self.core);
@@ -686,6 +687,7 @@ impl<M: Medium> MacEngine<M> {
         // Everything the phase timers did not attribute is queue time.
         let mut p = *self.profile.take().expect("profiling was enabled");
         p.total_s = started.elapsed().as_secs_f64();
+        p.wheel = self.core.events.counters();
         p.queue_s = p.total_s
             - p.sense_s
             - p.begin_s
@@ -1235,12 +1237,6 @@ mod tests {
         assert_eq!(a.collisions, b.collisions);
         assert_eq!(a.events_processed, b.events_processed);
         assert_eq!(drained.medium.acked, plain.medium.acked);
-    }
-
-    #[test]
-    fn event_queue_is_preallocated_from_sender_count() {
-        let e = engine(1);
-        assert!(e.core.events.capacity() >= 8);
     }
 
     #[test]

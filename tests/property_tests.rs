@@ -425,3 +425,154 @@ proptest! {
         }
     }
 }
+
+// ---- Event wheel order ----------------------------------------------------
+//
+// `EventQueue` (a timing wheel with pooled bucket buffers, an overflow
+// heap and idle-gap teleports) must pop exactly what a `BinaryHeap`
+// ordered by `(f64::total_cmp(time), seq)` pops, under any interleaving of
+// `schedule`, `pop` and `peek_key`. Each case schedules `-0.0` and `0.0`
+// first (they tie in `==` but not in the total order), then random ops:
+// slot-scale, frame-scale and beyond-span deltas, idle gaps of 10 s and
+// more, exact repeats of earlier times and past times (both clamp to
+// `now`). It ends with a full drain followed by one forced idle gap, so
+// every case teleports at least once.
+
+use softrate::sim::event::EventQueue;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
+/// A reference entry: `(time, seq)` in `total_cmp` order.
+#[derive(Debug, Clone, Copy)]
+struct RefEvent {
+    time: f64,
+    seq: u64,
+}
+
+impl Ord for RefEvent {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.time
+            .total_cmp(&other.time)
+            .then(self.seq.cmp(&other.seq))
+    }
+}
+impl PartialOrd for RefEvent {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl PartialEq for RefEvent {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for RefEvent {}
+
+/// The wheel and its reference, driven in lockstep.
+struct WheelCheck {
+    q: EventQueue<u64>,
+    reference: BinaryHeap<Reverse<RefEvent>>,
+    now: f64,
+    seq: u64,
+}
+
+impl WheelCheck {
+    fn schedule(&mut self, time: f64) {
+        self.q.schedule(time, self.seq);
+        let time = if time < self.now { self.now } else { time };
+        self.reference.push(Reverse(RefEvent {
+            time,
+            seq: self.seq,
+        }));
+        self.seq += 1;
+    }
+
+    /// Pops both and checks they agree; `at` names the op for the message.
+    fn pop(&mut self, at: &str) {
+        let got = self.q.pop().map(|e| (e.time.to_bits(), e.seq, e.event));
+        let want = self
+            .reference
+            .pop()
+            .map(|Reverse(r)| (r.time.to_bits(), r.seq, r.seq));
+        assert_eq!(got, want, "pop at {at}: (time bits, seq, payload)");
+        if let Some((bits, _, _)) = got {
+            self.now = f64::from_bits(bits);
+            assert_eq!(self.q.now().to_bits(), bits, "clock after the pop at {at}");
+        }
+    }
+
+    fn peek(&mut self, at: &str) {
+        let got = self.q.peek_key().map(|(t, s)| (t.to_bits(), s));
+        let want = self
+            .reference
+            .peek()
+            .map(|Reverse(r)| (r.time.to_bits(), r.seq));
+        assert_eq!(got, want, "peek_key at {at}: (time bits, seq)");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn event_wheel_pops_match_a_binary_heap(
+        ops in proptest::collection::vec(any::<u64>(), 1..500),
+        gap in 10.0f64..1e4,
+    ) {
+        let mut w = WheelCheck {
+            q: EventQueue::new(),
+            reference: BinaryHeap::new(),
+            now: 0.0,
+            seq: 0,
+        };
+        let mut times: Vec<f64> = Vec::new();
+        for t in [-0.0, 0.0, -0.0] {
+            w.schedule(t);
+            times.push(t);
+        }
+        for (i, &op) in ops.iter().enumerate() {
+            let x = op >> 8;
+            let now = w.now;
+            let t = match op % 12 {
+                // Slot-scale, on a 1 µs grid so distinct schedules tie.
+                0 | 1 => now + (x % 64) as f64 * 1e-6,
+                // Frame-scale.
+                2 => now + 1e-4 + (x % 6000) as f64 * 1e-6,
+                // Beyond the wheel's ~16 ms span: the overflow heap.
+                3 => now + 0.02 + (x % 3000) as f64 * 1e-3,
+                // An idle gap.
+                4 => now + 10.0 + (x % 1000) as f64,
+                // An exact repeat of an earlier time (past ones clamp).
+                5 => times[(x % times.len() as u64) as usize],
+                // A past time, clamped to `now`.
+                6 => now - (1 + x % 100) as f64 * 1e-5,
+                // A signed zero (clamped once the clock has moved).
+                7 => if x & 1 == 0 { -0.0 } else { 0.0 },
+                8..=10 => {
+                    w.pop(&format!("op {i}"));
+                    continue;
+                }
+                _ => {
+                    w.peek(&format!("op {i}"));
+                    continue;
+                }
+            };
+            w.schedule(t);
+            times.push(t);
+            prop_assert_eq!(w.q.len(), w.reference.len());
+        }
+        while !w.reference.is_empty() {
+            w.peek("the drain");
+            w.pop("the drain");
+        }
+        // A forced idle gap on the emptied wheel.
+        let now = w.now;
+        w.schedule(now + 1e-5);
+        w.schedule(now + gap);
+        for _ in 0..3 {
+            w.pop("the idle gap");
+        }
+        prop_assert!(w.q.is_empty());
+        prop_assert!(w.q.counters().teleports >= 1, "no idle gap was crossed");
+    }
+}
