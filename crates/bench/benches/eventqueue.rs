@@ -1,10 +1,14 @@
 //! Criterion micro-benchmarks of the discrete-event queue: push/pop churn
 //! is the hot loop of the multi-cell spatial simulator (a few events in
 //! flight per station, hundreds of stations, minutes of sim time), so its
-//! throughput gets pinned down here, for a backlog and for steady churn.
+//! throughput gets pinned down here, for a backlog, for steady churn and
+//! for a kickoff surge.
+//!
+//! `SOFTRATE_BENCH_QUICK=1` shrinks every measurement budget to ~100 ms
+//! so CI can smoke the bench harness without paying for statistics.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use std::time::Duration;
+use softrate_bench::bench_budget;
 
 use softrate_sim::event::EventQueue;
 
@@ -23,7 +27,7 @@ fn times(n: usize) -> Vec<f64> {
 
 fn bench_eventqueue(c: &mut Criterion) {
     let mut g = c.benchmark_group("eventqueue");
-    g.measurement_time(Duration::from_secs(2)).sample_size(30);
+    g.measurement_time(bench_budget()).sample_size(30);
 
     // Fill-then-drain: the cost of building and consuming a backlog.
     for n in [1_000usize, 100_000] {
@@ -65,6 +69,27 @@ fn bench_eventqueue(c: &mut Criterion) {
             })
         });
     }
+
+    // A kickoff surge, city-udp's start-up shape: 10k stations' first
+    // accesses spread over the first 100 ms, then churn where every pop
+    // schedules its successor a DIFS plus a slot-scale backoff later.
+    let ts = times(10_000);
+    g.throughput(Throughput::Elements(100_000));
+    g.bench_with_input(BenchmarkId::new("surge", 10_000), &ts, |b, ts| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            for (i, &t) in ts.iter().enumerate() {
+                q.schedule(t * 0.1, i as u32);
+            }
+            let mut acc = 0u64;
+            for _ in 0..100_000u32 {
+                let e = q.pop().expect("queue stays populated");
+                acc = acc.wrapping_add(e.event as u64);
+                q.schedule_in(34e-6 + (e.event % 32) as f64 * 9e-6, e.event);
+            }
+            acc
+        })
+    });
     g.finish();
 }
 

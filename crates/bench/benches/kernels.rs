@@ -15,21 +15,12 @@
 //! so CI can smoke the bench harness without paying for statistics.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Duration;
+use softrate_bench::bench_budget;
 
 use softrate_channel::analytic::{analytic_frame_success, FrameSuccessMemo, OracleBands};
 use softrate_channel::jakes::JakesFading;
 use softrate_net::mobility::MobilitySpec;
 use softrate_net::spatial::SpatialSpec;
-
-/// Per-benchmark measurement budget (quick mode for CI smoke).
-fn budget() -> Duration {
-    if std::env::var_os("SOFTRATE_BENCH_QUICK").is_some() {
-        Duration::from_millis(100)
-    } else {
-        Duration::from_secs(2)
-    }
-}
 
 fn params() -> softrate_net::spatial::SpatialParams {
     SpatialSpec {
@@ -51,7 +42,7 @@ fn params() -> softrate_net::spatial::SpatialParams {
 
 fn bench_snr_between(c: &mut Criterion) {
     let mut g = c.benchmark_group("spatial_kernels");
-    g.measurement_time(budget()).sample_size(30);
+    g.measurement_time(bench_budget()).sample_size(30);
     let p = params();
     let from = softrate_net::geometry::Point { x: 3.7, y: 11.2 };
     g.bench_function("snr_between", |b| {
@@ -77,7 +68,7 @@ fn bench_snr_between(c: &mut Criterion) {
 
 fn bench_jakes_gain(c: &mut Criterion) {
     let mut g = c.benchmark_group("spatial_kernels");
-    g.measurement_time(budget()).sample_size(30);
+    g.measurement_time(bench_budget()).sample_size(30);
     for (doppler, name) in [(2.0, "static_2hz"), (400.0, "vehicular_400hz")] {
         let fading = JakesFading::new(doppler, 7);
         g.bench_function(BenchmarkId::new("jakes_gain_fused", name), |b| {
@@ -93,7 +84,7 @@ fn bench_jakes_gain(c: &mut Criterion) {
 
 fn bench_frame_success(c: &mut Criterion) {
     let mut g = c.benchmark_group("spatial_kernels");
-    g.measurement_time(budget()).sample_size(30);
+    g.measurement_time(bench_budget()).sample_size(30);
     g.bench_function("analytic_frame_success_raw", |b| {
         let mut k = 0usize;
         b.iter(|| {

@@ -22,10 +22,10 @@
 //! `--profile` additionally prints a per-phase wall-time breakdown
 //! (sense / begin / collision / fate / roam / transport / outcome /
 //! queue+dispatch) per ladder point, plus host-independent work counts
-//! (sense candidates, same-tick drain widths, event-wheel pushes,
-//! spills, teleports and buffers), so future perf PRs know where the
-//! time goes. Profiled rows keep identical simulation results but carry
-//! timer overhead, so the JSON is only refreshed on unprofiled runs.
+//! (sense candidates, event-wheel pushes, spills, teleports and slab
+//! peak), so future perf PRs know where the time goes. Profiled rows keep
+//! identical simulation results but carry timer overhead, so the JSON is
+//! only refreshed on unprofiled runs.
 //! `--gate` is the CI perf check: one quick 400-station measurement that
 //! must stay within 30% of the committed trajectory — plus, when the
 //! committed file carries them, a 10k-station city point and a
@@ -299,40 +299,12 @@ fn print_profile(p: &PhaseProfile) {
         p.sense_candidates,
         p.sense_candidates as f64 / senses.max(1) as f64,
     );
-    // Same-tick drain widths (drains of width ≥ 2 only).
-    let (p50, p95) = drain_percentiles(&p.cohort_hist);
-    println!(
-        "                   same-tick drains {}  width p50 {}  p95 {}  max {}",
-        p.cohorts, p50, p95, p.cohort_max,
-    );
     // Event-wheel work: ring pushes, far-future spills, idle-gap jumps
-    // and the bucket buffers the pool holds.
+    // and the most events the slab ever held.
     println!(
-        "                   wheel pushes {}  spills {}  teleports {}  buffers {}",
-        p.wheel.pushes, p.wheel.spills, p.wheel.teleports, p.wheel.buffers,
+        "                   wheel pushes {}  spills {}  teleports {}  slab peak {}",
+        p.wheel.pushes, p.wheel.spills, p.wheel.teleports, p.wheel.slab_peak,
     );
-}
-
-/// p50/p95 same-tick drain widths from the profile's width histogram
-/// (bucket `i` < 15 holds width `i + 1`; the final bucket is "16 or
-/// wider", reported as 16+ via the max column).
-fn drain_percentiles(hist: &[u64; 16]) -> (u64, u64) {
-    let total: u64 = hist.iter().sum();
-    if total == 0 {
-        return (0, 0);
-    }
-    let rank = |q: f64| -> u64 {
-        let target = (q * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in hist.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return (i + 1) as u64;
-            }
-        }
-        16
-    };
-    (rank(0.50), rank(0.95))
 }
 
 /// The CI perf gate (`--gate`): quick measurements against the committed

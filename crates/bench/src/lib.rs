@@ -15,6 +15,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 use softrate_trace::cache::load_or_generate;
 use softrate_trace::generate::{static_short_trace, walking_trace};
@@ -27,6 +28,17 @@ pub fn smoke_mode() -> bool {
         || std::env::var("SOFTRATE_SMOKE")
             .map(|v| v == "1")
             .unwrap_or(false)
+}
+
+/// Per-benchmark measurement budget for the criterion micro-benches:
+/// 2 s, or ~100 ms when `SOFTRATE_BENCH_QUICK` is set, so CI can smoke
+/// the bench harnesses without paying for statistics.
+pub fn bench_budget() -> Duration {
+    if std::env::var_os("SOFTRATE_BENCH_QUICK").is_some() {
+        Duration::from_millis(100)
+    } else {
+        Duration::from_secs(2)
+    }
 }
 
 /// Repository-relative results directory (created on demand).

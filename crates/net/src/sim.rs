@@ -2079,7 +2079,7 @@ mod tests {
 
     /// The event wheel's work counts on a small fixed deployment, pinned
     /// exactly: a change in how events reach the ring, the overflow heap
-    /// or the buffer pool shows up here without a clock. Roaming checks
+    /// or the slab shows up here without a clock. Roaming checks
     /// every 100 ms and TCP timers land beyond the wheel's ~16 ms span,
     /// so the overflow heap is exercised too.
     #[test]
@@ -2106,9 +2106,9 @@ mod tests {
                 w.pushes,
                 w.spills,
                 w.teleports,
-                w.buffers
+                w.slab_peak
             ),
-            (33_412, 31_829, 3_240, 0, 83)
+            (33_412, 33_506, 3_240, 0, 100)
         );
     }
 

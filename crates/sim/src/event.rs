@@ -4,21 +4,20 @@
 //! Internally a **timing wheel**: a ring of fixed-width buckets spanning
 //! ~16 ms of simulated time — wider than any backoff-plus-airtime delta
 //! the MAC produces — plus a small 4-ary min-heap for the far future
-//! (transport timers, roaming checks). The common push appends to a
-//! bucket in O(1) with no comparisons; a bucket is sorted once when the
-//! cursor reaches it and then drained from the back. When the wheel goes
-//! empty the cursor teleports to the overflow's minimum instead of
-//! scanning empty buckets.
+//! (transport timers, roaming checks). The common push links an event
+//! into its bucket in O(1) with no comparisons; when the cursor reaches a
+//! bucket, its events are copied into the drain buffer, sorted once and
+//! drained from the back. When the wheel goes empty the cursor teleports
+//! to the overflow's minimum instead of scanning empty buckets.
 //!
-//! Bucket storage is **pooled**, not owned per slot. An empty slot holds
-//! no buffer; its first push takes the most recently emptied buffer from
-//! a LIFO pool (still warm in cache), the cursor swaps a full bucket into
-//! the drain buffer instead of copying it, and the drained buffer goes
-//! back to the pool. The queue therefore holds about as many buffers as
-//! there are non-empty buckets at once, not one per slot at the size its
-//! busiest generation ever reached. Buckets sort on an integer key,
-//! `(time_key(time), seq)`, where `time_key` is the bit transform
-//! inside `f64::total_cmp`.
+//! Ring events live in **one slab**: a single array of events with a
+//! parallel array of `next` links. A ring slot holds only the head index
+//! of its bucket's chain, and freed indices form a LIFO free list, so a
+//! push writes into the most recently freed (still cached) entry. The
+//! slab grows to the peak number of events on the ring at once, however
+//! they spread over buckets, and steady-state push/pop allocates nothing.
+//! Buckets sort on an integer key, `(time_key(time), seq)`, where
+//! `time_key` is the bit transform inside `f64::total_cmp`.
 //!
 //! Ordering is **identical** to a single global priority queue: `(time,
 //! seq)` keys form a strict total order (sequence numbers are unique),
@@ -26,14 +25,14 @@
 //! bucket, so FIFO resolution by `seq` happens inside one sort), and the
 //! overflow heap feeds events into their buckets before the cursor can
 //! reach them. Pops are therefore the exact sequence a `BinaryHeap`
-//! produced. Only the constants (bucket width, wheel span) and the buffer
-//! pooling are tuning — they cannot affect order, only speed.
+//! produced. Only the constants (bucket width, wheel span) and the slab's
+//! index reuse are tuning — they cannot affect order, only speed.
 
 use std::cmp::Reverse;
 use std::mem;
 
 /// A scheduled event.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Scheduled<E> {
     /// Absolute simulation time, seconds.
     pub time: f64,
@@ -90,7 +89,7 @@ fn bucket_of(t: f64) -> u64 {
 /// Host-independent counts of the wheel's work since the queue was built.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WheelCounters {
-    /// Events appended to a ring bucket, by `schedule` or by migration
+    /// Events linked into a ring bucket, by `schedule` or by migration
     /// out of the overflow heap.
     pub pushes: u64,
     /// Events scheduled a full wheel span or more ahead, into the
@@ -99,31 +98,38 @@ pub struct WheelCounters {
     /// Idle gaps the cursor jumped instead of walking: the wheel was
     /// empty and the cursor moved straight to the overflow's minimum.
     pub teleports: u64,
-    /// Bucket buffers the queue holds (in slots, the drain buffer and the
-    /// pool). Buffers are never freed, so this is also the peak.
-    pub buffers: u64,
+    /// The slab's length: the most events ever on the ring at once (the
+    /// slab never shrinks and grows only when its free list is empty).
+    pub slab_peak: u64,
 }
 
-type Bucket<E> = Vec<Scheduled<E>>;
+/// The end of a bucket chain or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// A deterministic event queue.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The bucket ring; slot `b & SLOT_MASK` holds bucket `b`'s events,
-    /// unsorted, for the single in-flight wheel generation. An empty slot
-    /// holds an unallocated `Vec`.
-    slots: Vec<Bucket<E>>,
-    /// Empty bucket buffers, most recently emptied last.
-    pool: Vec<Bucket<E>>,
+    /// Ring-resident events, indexed by slab index. Entries on the free
+    /// list hold stale events.
+    slab: Vec<Scheduled<E>>,
+    /// `next[i]`: the index after `i` on its bucket chain or on the free
+    /// list, or `NIL`.
+    next: Vec<u32>,
+    /// The bucket ring: slot `b & SLOT_MASK` holds the head of bucket
+    /// `b`'s chain (unsorted, most recent push first) for the single
+    /// in-flight wheel generation, or `NIL`.
+    heads: Vec<u32>,
+    /// Head of the free list of slab indices, most recently freed first.
+    free: u32,
     /// The bucket the cursor is draining: sorted descending, popped from
     /// the back (earliest first).
-    cur: Bucket<E>,
-    /// Absolute index of the bucket `cur` was taken from.
+    cur: Vec<Scheduled<E>>,
+    /// Absolute index of the bucket `cur` was loaded from.
     cur_bucket: u64,
     /// Events at least a full wheel span ahead: a 4-ary min-heap. They
     /// migrate into their bucket before the cursor can reach it.
     overflow: Vec<Scheduled<E>>,
-    /// Events currently in `slots`.
+    /// Events currently on bucket chains.
     wheel_len: usize,
     len: usize,
     next_seq: u64,
@@ -134,8 +140,10 @@ pub struct EventQueue<E> {
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
-            slots: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
-            pool: Vec::new(),
+            slab: Vec::new(),
+            next: Vec::new(),
+            heads: vec![NIL; WHEEL_BUCKETS],
+            free: NIL,
             cur: Vec::new(),
             cur_bucket: 0,
             overflow: Vec::new(),
@@ -148,19 +156,7 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// Gives `buf` a buffer from the pool if it has none, counting the
-/// buffers the pool had to create.
-#[inline]
-fn ensure_buffer<E>(buf: &mut Bucket<E>, pool: &mut Vec<Bucket<E>>, counters: &mut WheelCounters) {
-    if buf.capacity() == 0 {
-        *buf = pool.pop().unwrap_or_else(|| {
-            counters.buffers += 1;
-            Vec::new()
-        });
-    }
-}
-
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
         Self::default()
@@ -173,7 +169,10 @@ impl<E> EventQueue<E> {
 
     /// The wheel's work counts so far.
     pub fn counters(&self) -> WheelCounters {
-        self.counters
+        WheelCounters {
+            slab_peak: self.slab.len() as u64,
+            ..self.counters
+        }
     }
 
     /// Schedules `event` at absolute time `time`. Times in the past are
@@ -188,7 +187,6 @@ impl<E> EventQueue<E> {
         if b <= self.cur_bucket {
             // `time >= now` forces `b == cur_bucket` once the cursor has
             // moved: the event joins the bucket being drained, in order.
-            ensure_buffer(&mut self.cur, &mut self.pool, &mut self.counters);
             let k = key(&ev);
             let at = self.cur.partition_point(|e| k < key(e));
             self.cur.insert(at, ev);
@@ -223,21 +221,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The `(time, seq)` key of the next event without popping it. Loads
-    /// the next bucket if needed (amortized against the pop that follows);
-    /// the clock does not move.
-    pub fn peek_key(&mut self) -> Option<(f64, u64)> {
-        loop {
-            if let Some(ev) = self.cur.last() {
-                return Some((ev.time, ev.seq));
-            }
-            if self.len == 0 {
-                return None;
-            }
-            self.advance();
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -248,12 +231,20 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Appends `ev` to ring bucket `b`.
+    /// Links `ev` at the head of ring bucket `b`'s chain, in the most
+    /// recently freed slab entry if there is one.
     #[inline]
     fn ring_push(&mut self, b: u64, ev: Scheduled<E>) {
-        let slot = &mut self.slots[(b & SLOT_MASK) as usize];
-        ensure_buffer(slot, &mut self.pool, &mut self.counters);
-        slot.push(ev);
+        let head = &mut self.heads[(b & SLOT_MASK) as usize];
+        if self.free == NIL {
+            self.next.push(mem::replace(head, self.slab.len() as u32));
+            self.slab.push(ev);
+        } else {
+            let i = self.free as usize;
+            self.free = self.next[i];
+            self.slab[i] = ev;
+            self.next[i] = mem::replace(head, i as u32);
+        }
         self.wheel_len += 1;
         self.counters.pushes += 1;
     }
@@ -271,13 +262,16 @@ impl<E> EventQueue<E> {
         } else {
             self.cur_bucket += 1;
         }
-        let slot = &mut self.slots[(self.cur_bucket & SLOT_MASK) as usize];
-        if !slot.is_empty() {
-            // Swap the bucket in; the drained buffer goes back to the pool.
-            self.wheel_len -= slot.len();
-            let drained = mem::replace(&mut self.cur, mem::take(slot));
-            if drained.capacity() > 0 {
-                self.pool.push(drained);
+        // Copy the bucket's chain out and hand its indices to the free list.
+        let head = &mut self.heads[(self.cur_bucket & SLOT_MASK) as usize];
+        if *head != NIL {
+            let mut i = mem::replace(head, NIL);
+            while i != NIL {
+                self.cur.push(self.slab[i as usize]);
+                let next = mem::replace(&mut self.next[i as usize], self.free);
+                self.free = i;
+                i = next;
+                self.wheel_len -= 1;
             }
         }
         // Let far-future events whose bucket just became representable
@@ -290,7 +284,6 @@ impl<E> EventQueue<E> {
             let ev = self.overflow_pop();
             let b = bucket_of(ev.time);
             if b <= self.cur_bucket {
-                ensure_buffer(&mut self.cur, &mut self.pool, &mut self.counters);
                 self.cur.push(ev); // lands in the bucket being loaded
             } else {
                 self.ring_push(b, ev);
@@ -399,36 +392,35 @@ mod tests {
         assert_eq!(q.pop().unwrap().time, 4.5);
     }
 
-    /// Recycled buffers are invisible: a queue whose pool holds buffers
-    /// of assorted capacities from an earlier busy period pops a new
-    /// workload in the same order as a fresh queue.
+    /// Recycled slab entries are invisible: a queue whose slab and free
+    /// list were churned by an earlier busy period pops a new workload in
+    /// the same order as a fresh queue.
     #[test]
-    fn pooled_buffers_do_not_change_order() {
-        let mut pooled: EventQueue<usize> = EventQueue::new();
+    fn recycled_slab_does_not_change_order() {
+        let mut recycled: EventQueue<usize> = EventQueue::new();
         for k in 0..3000usize {
-            pooled.schedule((k % 97) as f64 * 3e-5 + (k % 5) as f64 * 1e-3, k);
+            recycled.schedule((k % 97) as f64 * 3e-5 + (k % 5) as f64 * 1e-3, k);
         }
-        while pooled.pop().is_some() {}
-        assert!(!pooled.pool.is_empty(), "the busy period filled the pool");
+        while recycled.pop().is_some() {}
+        assert!(recycled.free != NIL, "the busy period filled the free list");
         let mut fresh: EventQueue<usize> = EventQueue::new();
-        let base = pooled.now();
+        let base = recycled.now();
         for (k, d) in [5e-3, 1e-5, 3e-6, 1e-5, 2e-5, 0.0, 0.5, 1e-5]
             .iter()
             .enumerate()
         {
-            pooled.schedule(base + d, k);
+            recycled.schedule(base + d, k);
             fresh.schedule(*d, k);
         }
-        let op: Vec<usize> = std::iter::from_fn(|| pooled.pop().map(|e| e.event)).collect();
+        let or: Vec<usize> = std::iter::from_fn(|| recycled.pop().map(|e| e.event)).collect();
         let of: Vec<usize> = std::iter::from_fn(|| fresh.pop().map(|e| e.event)).collect();
-        assert_eq!(op, of);
+        assert_eq!(or, of);
     }
 
     /// The wheel tiers must be invisible: interleaved pushes and pops
     /// with deltas that exercise the current bucket, the ring, and the
     /// overflow heap produce the exact `(time, seq)` order a single
-    /// sorted list would, and `peek_key` always names the next pop
-    /// without disturbing the order.
+    /// sorted list would.
     #[test]
     fn wheel_matches_reference_order_under_churn() {
         let mut q = EventQueue::new();
@@ -460,16 +452,12 @@ mod tests {
             reference.push((t.to_bits(), seq));
             seq += 1;
             if round % 3 == 0 {
-                let key = q.peek_key();
                 let e = q.pop().expect("queue populated");
-                assert_eq!(key, Some((e.time, e.seq)));
                 now = e.time;
                 popped.push((e.time.to_bits(), e.event));
             }
         }
-        while let Some(key) = q.peek_key() {
-            let e = q.pop().expect("peeked non-empty");
-            assert_eq!(key, (e.time, e.seq));
+        while let Some(e) = q.pop() {
             popped.push((e.time.to_bits(), e.event));
         }
         reference.sort_unstable();
@@ -490,11 +478,12 @@ mod tests {
         assert_eq!(q.counters().teleports, 1);
     }
 
-    /// The pool holds a buffer per bucket in use at once, plus the drain
-    /// buffer: never more than the peak number of non-empty ring slots
-    /// plus one, however the load moves around the ring.
-    #[test]
-    fn buffers_held_stay_within_peak_nonempty_buckets_plus_one() {
+    /// A pseudo-random load that moves around the ring: a busy phase
+    /// with events over ~4 ms (hundreds of buckets in flight), then a
+    /// quiet one that drains most of them, for ten phases (many wheel
+    /// turns). With `overflow`, every seventh round also schedules into
+    /// the overflow heap. `check` runs after every operation.
+    fn churn(overflow: bool, mut check: impl FnMut(&EventQueue<u64>)) {
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
         let mut rng = move || {
@@ -503,37 +492,60 @@ mod tests {
             x ^= x << 17;
             x
         };
-        let mut peak_nonempty = 0;
         for round in 0..20_000u64 {
-            // Bursts: a busy phase with many buckets in flight, then a
-            // quiet one that drains most of them.
             let busy = (round / 2000) % 2 == 0;
             let span = if busy { 4000 } else { 40 };
             let now = q.now();
             q.schedule(now + (rng() % span) as f64 * 1e-6, round);
-            if round % 7 == 0 {
-                q.schedule(now + 0.1 + (rng() % 100) as f64 * 1e-3, round); // overflow
+            check(&q);
+            if overflow && round % 7 == 0 {
+                q.schedule(now + 0.1 + (rng() % 100) as f64 * 1e-3, round);
+                check(&q);
             }
-            let mut observe = |q: &EventQueue<u64>| {
-                let nonempty = q.slots.iter().filter(|s| !s.is_empty()).count();
-                peak_nonempty = peak_nonempty.max(nonempty);
-            };
-            observe(&q);
             if !busy || round % 2 == 0 {
                 q.pop();
-                observe(&q);
+                check(&q);
             }
-            assert!(
-                q.counters().buffers as usize <= peak_nonempty + 1,
-                "{} buffers for a peak of {peak_nonempty} non-empty buckets",
-                q.counters().buffers
-            );
-            // Every held buffer is accounted for: slots, drain, pool.
-            let held = q.slots.iter().filter(|s| s.capacity() > 0).count()
-                + usize::from(q.cur.capacity() > 0)
-                + q.pool.len();
-            assert_eq!(held as u64, q.counters().buffers);
         }
-        assert!(peak_nonempty > 100, "the busy phase spreads over the ring");
+    }
+
+    /// The slab grows only when its free list is empty, so its length is
+    /// exactly the most events ever on the ring at once. Without overflow
+    /// migration the ring only grows inside `schedule`, so checking after
+    /// every call sees each peak.
+    #[test]
+    fn slab_length_is_the_peak_of_ring_resident_events() {
+        let mut peak = 0;
+        churn(false, |q| {
+            peak = peak.max(q.wheel_len);
+            assert_eq!(q.slab.len(), peak);
+            assert_eq!(q.counters().slab_peak, peak as u64);
+        });
+        assert!(peak > 100, "the busy phase spreads over the ring");
+    }
+
+    /// No slab entry leaks: every index is on exactly one bucket chain or
+    /// on the free list, and the chains hold exactly the ring's events.
+    #[test]
+    fn every_slab_index_is_on_one_chain_or_the_free_list() {
+        churn(true, |q| {
+            let mut seen = vec![false; q.slab.len()];
+            let mut visit = |mut i: u32| -> usize {
+                let mut n = 0;
+                while i != NIL {
+                    assert!(
+                        !mem::replace(&mut seen[i as usize], true),
+                        "index {i} twice"
+                    );
+                    i = q.next[i as usize];
+                    n += 1;
+                }
+                n
+            };
+            let on_chains: usize = q.heads.iter().map(|&h| visit(h)).sum();
+            assert_eq!(on_chains, q.wheel_len);
+            visit(q.free);
+            assert!(seen.iter().all(|&s| s), "an index is on no list");
+        });
     }
 }

@@ -365,11 +365,11 @@ pub struct MacCore<E, I> {
     next_tx_id: u64,
 }
 
-impl<E, I> MacCore<E, I> {
+impl<E: Copy, I> MacCore<E, I> {
     /// A core for `n_senders` transmitters driving `ports`. The event
-    /// queue starts empty: its bucket buffers are pooled and recycled, so
-    /// it grows only to the events actually in flight and steady-state
-    /// push/pop allocates nothing.
+    /// queue starts empty: its slab recycles freed entries, so it grows
+    /// only to the events actually in flight and steady-state push/pop
+    /// allocates nothing.
     pub fn new(n_senders: usize, ports: Vec<Port>, params: MacParams) -> Self {
         let n_ports = ports.len();
         MacCore {
@@ -576,17 +576,6 @@ pub struct PhaseProfile {
     /// every sense — a host-independent work count (filled in by media
     /// that keep one).
     pub sense_candidates: u64,
-    /// Same-tick drains of width ≥ 2 in [`MacEngine::run`]: ticks whose
-    /// drain popped more than one event before dispatching (singleton
-    /// ticks go uncounted). A host-independent count, like the two fields
-    /// below.
-    pub cohorts: u64,
-    /// Widest same-tick drain seen.
-    pub cohort_max: u64,
-    /// Drain-width histogram over the counted (width ≥ 2) drains:
-    /// bucket `i < 15` counts drains of width `i + 1`; bucket 15 counts
-    /// widths ≥ 16. Percentiles (p50/p95) fall out of the cumulative sum.
-    pub cohort_hist: [u64; 16],
     /// The event wheel's work counts over the run (host-independent).
     pub wheel: WheelCounters,
 }
@@ -612,47 +601,17 @@ impl<M: Medium> MacEngine<M> {
         }
     }
 
-    /// Runs the event loop to `duration` simulated seconds.
-    ///
-    /// Each pop drains the rest of its exact tick before dispatching any
-    /// of it, then dispatches the drained events in pop order. Sequence
-    /// numbers are allocated monotonically at schedule time, so every
-    /// event already queued at this tick precedes anything a handler can
-    /// newly schedule: draining the tick and dispatching in pop order *is*
-    /// the plain `(time, seq)` pop order, and a handler-scheduled
-    /// same-tick event simply opens the next drain. DESIGN.md §13 records
-    /// what the drain costs and saves.
+    /// Runs the event loop to `duration` simulated seconds: one pop and
+    /// one dispatch per event, in `(time, seq)` order.
     pub fn run(&mut self, duration: f64) {
         self.core.sync_ledger();
         self.medium.kickoff(&mut self.core);
-        let mut tick: Vec<MacEv<M::Event>> = Vec::new();
         while let Some(ev) = self.core.events.pop() {
             if ev.time > duration {
                 break;
             }
             self.core.stats.events_processed += 1;
-            tick.clear();
-            tick.push(ev.event);
-            while self
-                .core
-                .events
-                .peek_key()
-                .is_some_and(|(t, _)| t == ev.time)
-            {
-                let next = self.core.events.pop().expect("peeked non-empty");
-                self.core.stats.events_processed += 1;
-                tick.push(next.event);
-            }
-            if tick.len() >= 2 {
-                if let Some(p) = self.profile.as_deref_mut() {
-                    p.cohorts += 1;
-                    p.cohort_max = p.cohort_max.max(tick.len() as u64);
-                    p.cohort_hist[(tick.len() - 1).min(15)] += 1;
-                }
-            }
-            for &e in &tick {
-                self.dispatch(e);
-            }
+            self.dispatch(ev.event);
         }
     }
 
@@ -1205,38 +1164,6 @@ mod tests {
         b.run(0.3);
         assert_eq!(a.core.stats.frames_sent, b.core.stats.frames_sent);
         assert_eq!(a.core.stats.events_processed, b.core.stats.events_processed);
-    }
-
-    /// The same-tick drain in [`MacEngine::run`] dispatches in exactly
-    /// the plain `(time, seq)` pop order: a reference loop that pops and
-    /// dispatches one event at a time must reach identical statistics and
-    /// acknowledge the same senders in the same order. Four senders
-    /// contending from the same backoff window tie often, so the drain
-    /// really does pop multi-event ticks here.
-    #[test]
-    fn same_tick_drain_matches_a_plain_pop_loop() {
-        let duration = 0.3;
-        let mut drained = engine(4);
-        let profile = drained.run_profiled(duration);
-        assert!(profile.cohorts > 0, "no same-tick events were drained");
-
-        let mut plain = engine(4);
-        plain.core.sync_ledger();
-        plain.medium.kickoff(&mut plain.core);
-        while let Some(ev) = plain.core.events.pop() {
-            if ev.time > duration {
-                break;
-            }
-            plain.core.stats.events_processed += 1;
-            plain.dispatch(ev.event);
-        }
-
-        let (a, b) = (&drained.core.stats, &plain.core.stats);
-        assert_eq!(a.frames_sent, b.frames_sent);
-        assert_eq!(a.frames_delivered, b.frames_delivered);
-        assert_eq!(a.collisions, b.collisions);
-        assert_eq!(a.events_processed, b.events_processed);
-        assert_eq!(drained.medium.acked, plain.medium.acked);
     }
 
     #[test]

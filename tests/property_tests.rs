@@ -428,15 +428,18 @@ proptest! {
 
 // ---- Event wheel order ----------------------------------------------------
 //
-// `EventQueue` (a timing wheel with pooled bucket buffers, an overflow
-// heap and idle-gap teleports) must pop exactly what a `BinaryHeap`
-// ordered by `(f64::total_cmp(time), seq)` pops, under any interleaving of
-// `schedule`, `pop` and `peek_key`. Each case schedules `-0.0` and `0.0`
-// first (they tie in `==` but not in the total order), then random ops:
-// slot-scale, frame-scale and beyond-span deltas, idle gaps of 10 s and
-// more, exact repeats of earlier times and past times (both clamp to
-// `now`). It ends with a full drain followed by one forced idle gap, so
-// every case teleports at least once.
+// `EventQueue` (a timing wheel whose ring events live in one recycled
+// slab, an overflow heap and idle-gap teleports) must pop exactly what a
+// `BinaryHeap` ordered by `(f64::total_cmp(time), seq)` pops, under any
+// interleaving of `schedule` and `pop`. Each case schedules `-0.0` and
+// `0.0` first (they tie in `==` but not in the total order), then random
+// ops: slot-scale, frame-scale and beyond-span deltas, idle gaps of 10 s
+// and more, exact repeats of earlier times and past times (both clamp to
+// `now`). Then bursts over more than a wheel span, each drained to a
+// quarter before the next, reuse freed slab entries across wheel turns;
+// the slab must stay within the most events ever pending. It ends with a
+// full drain followed by one forced idle gap, so every case teleports at
+// least once.
 
 use softrate::sim::event::EventQueue;
 use std::cmp::{Ordering, Reverse};
@@ -474,6 +477,8 @@ struct WheelCheck {
     reference: BinaryHeap<Reverse<RefEvent>>,
     now: f64,
     seq: u64,
+    /// The most events ever pending at once.
+    max_len: usize,
 }
 
 impl WheelCheck {
@@ -485,6 +490,7 @@ impl WheelCheck {
             seq: self.seq,
         }));
         self.seq += 1;
+        self.max_len = self.max_len.max(self.q.len());
     }
 
     /// Pops both and checks they agree; `at` names the op for the message.
@@ -499,15 +505,6 @@ impl WheelCheck {
             self.now = f64::from_bits(bits);
             assert_eq!(self.q.now().to_bits(), bits, "clock after the pop at {at}");
         }
-    }
-
-    fn peek(&mut self, at: &str) {
-        let got = self.q.peek_key().map(|(t, s)| (t.to_bits(), s));
-        let want = self
-            .reference
-            .peek()
-            .map(|Reverse(r)| (r.time.to_bits(), r.seq));
-        assert_eq!(got, want, "peek_key at {at}: (time bits, seq)");
     }
 }
 
@@ -524,6 +521,7 @@ proptest! {
             reference: BinaryHeap::new(),
             now: 0.0,
             seq: 0,
+            max_len: 0,
         };
         let mut times: Vec<f64> = Vec::new();
         for t in [-0.0, 0.0, -0.0] {
@@ -548,12 +546,8 @@ proptest! {
                 6 => now - (1 + x % 100) as f64 * 1e-5,
                 // A signed zero (clamped once the clock has moved).
                 7 => if x & 1 == 0 { -0.0 } else { 0.0 },
-                8..=10 => {
-                    w.pop(&format!("op {i}"));
-                    continue;
-                }
                 _ => {
-                    w.peek(&format!("op {i}"));
+                    w.pop(&format!("op {i}"));
                     continue;
                 }
             };
@@ -561,8 +555,26 @@ proptest! {
             times.push(t);
             prop_assert_eq!(w.q.len(), w.reference.len());
         }
+        // Burst then drain: each burst spreads over ~24 ms, past the
+        // wheel's ~16 ms span, and is drained to a quarter before the
+        // next, so later turns reuse the entries earlier ones freed.
+        for turn in 0..4 {
+            let now = w.now;
+            for &op in ops.iter().take(200) {
+                w.schedule(now + ((op >> 8) % 24_000) as f64 * 1e-6);
+            }
+            let keep = w.q.len() / 4;
+            while w.q.len() > keep {
+                w.pop(&format!("burst {turn}"));
+            }
+        }
+        prop_assert!(
+            w.q.counters().slab_peak <= w.max_len as u64,
+            "slab of {} for at most {} pending events",
+            w.q.counters().slab_peak,
+            w.max_len
+        );
         while !w.reference.is_empty() {
-            w.peek("the drain");
             w.pop("the drain");
         }
         // A forced idle gap on the emptied wheel.
