@@ -17,15 +17,14 @@
 //! as a summary table and, with `--out`, to a JSON-lines file whose bytes
 //! are identical across repeat runs and thread counts.
 
+use std::fs::File;
+use std::io::{BufWriter, Write as _};
 use std::process::ExitCode;
 
 use softrate_scenario::builtin;
-use softrate_scenario::engine::{
-    self, expand, outcomes_to_jsonl, summary_table, telemetry_decisions_jsonl,
-    telemetry_metrics_jsonl, telemetry_trace_jsonl,
-};
+use softrate_scenario::engine::{self, expand, outcomes_to_jsonl, summary_table, RunOutcome};
 use softrate_scenario::spec::ScenarioSpec;
-use softrate_telemetry::RecorderConfig;
+use softrate_telemetry::{RecorderConfig, TelemetryReport};
 
 fn usage() -> &'static str {
     "softrate-scenarios — declarative scenario engine for the SoftRate reproduction
@@ -248,11 +247,10 @@ fn cmd_run(args: &Args, require_sweep: bool) -> Result<(), String> {
     // (in matrix order, alongside the healthy results) and the command
     // exits non-zero — the rest of the matrix still completes and every
     // requested output file is still written.
-    let with_telemetry: Vec<_> = outcomes
+    let results: Vec<_> = outcomes
         .iter()
-        .filter_map(|o| o.as_ref().ok().cloned())
+        .filter_map(|o| Some(o.as_ref().ok()?.0.clone()))
         .collect();
-    let results: Vec<_> = with_telemetry.iter().map(|(r, _)| r.clone()).collect();
     print!("{}", summary_table(&results));
     let failures: Vec<_> = outcomes.iter().filter_map(|o| o.as_ref().err()).collect();
     for f in &failures {
@@ -261,15 +259,7 @@ fn cmd_run(args: &Args, require_sweep: bool) -> Result<(), String> {
     if let Some(out) = &args.out {
         write_file(out, &outcomes_to_jsonl(&outcomes))?;
     }
-    if let Some(path) = &args.metrics {
-        write_file(path, &telemetry_metrics_jsonl(&with_telemetry))?;
-    }
-    if let Some(path) = &args.trace {
-        write_file(path, &telemetry_trace_jsonl(&with_telemetry))?;
-    }
-    if let Some(path) = &args.decisions {
-        write_file(path, &telemetry_decisions_jsonl(&with_telemetry))?;
-    }
+    write_telemetry(args, &outcomes)?;
     if !failures.is_empty() {
         return Err(format!(
             "{} of {} runs panicked (see their `kind: \"error\"` result rows)",
@@ -282,10 +272,49 @@ fn cmd_run(args: &Args, require_sweep: bool) -> Result<(), String> {
 
 /// Writes `text` to `path`, creating parent directories as needed.
 fn write_file(path: &str, text: &str) -> Result<(), String> {
+    write_with(path, |out| out.write_all(text.as_bytes()))
+}
+
+/// Writes each requested telemetry stream (`--metrics`, `--trace`,
+/// `--decisions`) of the completed runs, in matrix order. The streams
+/// are rendered run by run straight into the file, so only one run's
+/// rendering is in memory at a time; the bytes equal the joined
+/// `telemetry_*_jsonl` streams.
+fn write_telemetry(args: &Args, outcomes: &[RunOutcome]) -> Result<(), String> {
+    let streams = [
+        (
+            &args.metrics,
+            TelemetryReport::metrics_jsonl as fn(&TelemetryReport) -> String,
+        ),
+        (&args.trace, TelemetryReport::trace_jsonl),
+        (&args.decisions, TelemetryReport::decisions_jsonl),
+    ];
+    for (path, stream) in streams {
+        let Some(path) = path else { continue };
+        write_with(path, |out| {
+            for report in outcomes.iter().filter_map(|o| o.as_ref().ok()?.1.as_ref()) {
+                out.write_all(stream(report).as_bytes())?;
+            }
+            Ok(())
+        })?;
+    }
+    Ok(())
+}
+
+/// Creates `path` (and its parent directories), hands `write` a buffered
+/// writer on it and flushes.
+fn write_with(
+    path: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> Result<(), String> {
     if let Some(parent) = std::path::Path::new(path).parent() {
         let _ = std::fs::create_dir_all(parent);
     }
-    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+    let mut out =
+        BufWriter::new(File::create(path).map_err(|e| format!("cannot write {path}: {e}"))?);
+    write(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
     eprintln!("[wrote {path}]");
     Ok(())
 }
@@ -342,5 +371,72 @@ mod tests {
                 .as_deref(),
             Some("unknown flag `--shards`")
         );
+    }
+
+    /// Two runs (one per adapter) of a short fading analytic TCP cell.
+    const TWO_RUNS: &str = r#"
+name = "two-runs"
+duration = 0.4
+seed = 7
+adapters = ["SoftRate", "Rraa"]
+
+[topology]
+n_clients = 2
+
+[channel]
+model = "Analytic"
+snr_db = 14.0
+
+[channel.fading.Flat]
+doppler_hz = 50.0
+
+[traffic]
+kind = "Tcp"
+"#;
+
+    #[test]
+    fn telemetry_files_equal_the_joined_streams() {
+        let plans = expand(&engine::parse_spec(TWO_RUNS).unwrap()).unwrap();
+        assert_eq!(plans.len(), 2);
+        let telemetry = RecorderConfig {
+            trace: true,
+            decisions: true,
+            ..RecorderConfig::default()
+        };
+        let opts = engine::RunOptions {
+            threads: Some(1),
+            telemetry: Some(telemetry),
+        };
+        let outcomes = engine::run_all_checked(&plans, &opts);
+        let completed: Vec<_> = outcomes.iter().map(|o| o.clone().unwrap()).collect();
+        let dir = std::env::temp_dir().join(format!(
+            "softrate-scenarios-telemetry-{}",
+            std::process::id()
+        ));
+        let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let args = parse(&[
+            "two-runs",
+            "--metrics",
+            &file("m.jsonl"),
+            "--trace",
+            &file("t.jsonl"),
+            "--decisions",
+            &file("d.jsonl"),
+        ])
+        .unwrap();
+        write_telemetry(&args, &outcomes).unwrap();
+        for (name, want) in [
+            ("m.jsonl", engine::telemetry_metrics_jsonl(&completed)),
+            ("t.jsonl", engine::telemetry_trace_jsonl(&completed)),
+            ("d.jsonl", engine::telemetry_decisions_jsonl(&completed)),
+        ] {
+            assert!(!want.is_empty(), "{name} is empty");
+            assert_eq!(
+                std::fs::read(file(name)).unwrap(),
+                want.as_bytes(),
+                "{name}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

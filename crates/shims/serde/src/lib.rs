@@ -11,13 +11,14 @@
 //!   self-describing [`Value`] tree, which serves pretty printing, TOML
 //!   and every deserializer.
 //!
-//! Both are implemented for the primitive types, `String`, `Option`,
-//! `Vec`, tuples, and references; derived impls for structs and enums
-//! come from the sibling `serde_derive` shim and use the same
+//! Both are implemented for the primitive types, `String`, `Cow<str>`,
+//! `Option`, `Vec`, tuples, and references; derived impls for structs and
+//! enums come from the sibling `serde_derive` shim and use the same
 //! externally-tagged enum representation as real serde, on both paths.
 
 #![forbid(unsafe_code)]
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -388,6 +389,24 @@ impl Deserialize for &'static str {
     }
 }
 
+impl Serialize for Cow<'_, str> {
+    fn to_value(&self) -> Value {
+        Value::Str(self.to_string())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl Deserialize for Cow<'static, str> {
+    /// Always `Owned`: a name read back from disk owns its string, so
+    /// nothing leaks.
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        String::from_value(v).map(Cow::Owned)
+    }
+}
+
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
@@ -546,6 +565,35 @@ mod tests {
     fn out_of_range_integer_errors() {
         assert!(u8::from_value(&Value::Int(300)).is_err());
         assert!(u64::from_value(&Value::Int(-1)).is_err());
+    }
+
+    #[test]
+    fn cow_str_writes_like_string_and_reads_back_owned() {
+        let text = "say \"hi\"\\\n\tx\u{1}\u{e9}";
+        let mut want = String::new();
+        text.to_string().write_json(&mut want);
+        assert_eq!(want, "\"say \\\"hi\\\"\\\\\\n\\tx\\u0001\u{e9}\"");
+        for cow in [Cow::Borrowed(text), Cow::Owned(text.to_string())] {
+            let mut got = String::new();
+            cow.write_json(&mut got);
+            assert_eq!(got, want);
+            assert_eq!(cow.to_value(), text.to_string().to_value());
+        }
+        let back = Cow::<'static, str>::from_value(&Value::Str(text.into())).unwrap();
+        assert!(matches!(back, Cow::Owned(ref s) if s == text));
+    }
+
+    #[test]
+    fn cow_str_rejects_non_strings() {
+        for v in [
+            Value::Null,
+            Value::Int(3),
+            Value::Bool(true),
+            Value::Seq(vec![]),
+        ] {
+            let err = Cow::<'static, str>::from_value(&v).unwrap_err();
+            assert!(err.to_string().starts_with("expected string"), "{err}");
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! in a dedicated underflow bucket.
 
 use crate::rows::HistRow;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Sub-buckets per octave (top two mantissa bits).
@@ -106,12 +107,12 @@ impl LogHistogram {
     }
 
     /// Serializes into a [`HistRow`] named `metric` in `unit`.
-    pub fn to_row(&self, metric: &str, unit: &str, run_idx: u64) -> HistRow {
+    pub fn to_row(&self, metric: &'static str, unit: &'static str, run_idx: u64) -> HistRow {
         HistRow {
-            kind: "hist".to_string(),
+            kind: Cow::Borrowed("hist"),
             run_idx,
-            metric: metric.to_string(),
-            unit: unit.to_string(),
+            metric: Cow::Borrowed(metric),
+            unit: Cow::Borrowed(unit),
             base: self.base,
             count: self.count,
             underflow: self.underflow,

@@ -5,6 +5,7 @@
 //! Kept in the library (rather than the binary) so the operations are
 //! unit-testable and available to other tools.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -277,7 +278,7 @@ pub fn diff(a: &str, b: &str) -> Result<(String, bool), String> {
     let tkey = |r: &TotalsRow| (r.run_idx, r.station);
     let mut ia: BTreeMap<IKey, &IntervalRow> = BTreeMap::new();
     let mut ta: BTreeMap<(u64, u64), &TotalsRow> = BTreeMap::new();
-    let mut ha: BTreeMap<(u64, String), &HistRow> = BTreeMap::new();
+    let mut ha: BTreeMap<(u64, &str), &HistRow> = BTreeMap::new();
     for r in &ra {
         match r {
             Row::Interval(x) => {
@@ -287,7 +288,7 @@ pub fn diff(a: &str, b: &str) -> Result<(String, bool), String> {
                 ta.insert(tkey(x), x);
             }
             Row::Hist(x) => {
-                ha.insert((x.run_idx, x.metric.clone()), x);
+                ha.insert((x.run_idx, &x.metric), x);
             }
             _ => {}
         }
@@ -347,7 +348,7 @@ pub fn diff(a: &str, b: &str) -> Result<(String, bool), String> {
                 }
             },
             Row::Hist(x) => {
-                if let Some(y) = ha.remove(&(x.run_idx, x.metric.clone())) {
+                if let Some(y) = ha.remove(&(x.run_idx, &*x.metric)) {
                     if y != x {
                         identical = false;
                         let _ = writeln!(
@@ -400,7 +401,7 @@ struct TimelinePoint {
     rate: Option<u64>,
     snr_db: Option<f64>,
     /// `Some((trigger, reason))` when the point is a ledger decision.
-    decision: Option<(String, String)>,
+    decision: Option<(Cow<'static, str>, Cow<'static, str>)>,
 }
 
 /// Sparkline glyphs, lowest to highest; a space means "no sample yet".
@@ -637,7 +638,7 @@ pub fn adapt_stats(
         let mut open_drops: Vec<(u64, u64)> = Vec::new();
         let mut cur_rate: Option<u64> = None;
         for d in &rows {
-            *s.triggers.entry(d.trigger.clone()).or_insert(0) += 1;
+            *s.triggers.entry(d.trigger.to_string()).or_insert(0) += 1;
             let rate_before = cur_rate.unwrap_or(d.old_rate);
             if let Some(snr) = d.snr_db {
                 if let Some(prev) = last_snr {
@@ -972,9 +973,9 @@ pub fn resilience(metrics: &str, threshold: f64) -> Result<(String, bool), Strin
         // Pair start/end markers per fault class, in time order.
         let mut windows: Vec<FaultWindow> = Vec::new();
         for m in marks {
-            match m.phase.as_str() {
+            match &*m.phase {
                 "start" => windows.push(FaultWindow {
-                    fault: m.fault.clone(),
+                    fault: m.fault.to_string(),
                     detail: m.detail.clone(),
                     start: m.t,
                     end: None,
@@ -1286,23 +1287,23 @@ mod tests {
         station: u64,
         old: u64,
         new: u64,
-        trigger: &str,
+        trigger: &'static str,
         snr: Option<f64>,
-        reason: &str,
+        reason: &'static str,
     ) -> String {
         let row = DecisionRow {
-            kind: "decision".to_string(),
+            kind: "decision".into(),
             run_idx: 0,
             t_us,
             station,
             port: station,
-            adapter: "SoftRate".to_string(),
+            adapter: "SoftRate".into(),
             old_rate: old,
             new_rate: new,
-            trigger: trigger.to_string(),
+            trigger: trigger.into(),
             snr_db: snr,
             ber: None,
-            reason: reason.to_string(),
+            reason: reason.into(),
         };
         format!("{}\n", serde_json::to_string(&row).unwrap())
     }
@@ -1420,7 +1421,7 @@ mod tests {
 
     fn interval_line(t0: f64, t1: f64, goodput_bps: f64, fault: Option<&str>) -> String {
         let row = IntervalRow {
-            kind: "interval".to_string(),
+            kind: "interval".into(),
             run_idx: 0,
             station: 0,
             t0,
@@ -1448,13 +1449,13 @@ mod tests {
         format!("{}\n", serde_json::to_string(&row).unwrap())
     }
 
-    fn fault_line(t: f64, fault: &str, phase: &str, detail: &str) -> String {
+    fn fault_line(t: f64, fault: &'static str, phase: &'static str, detail: &str) -> String {
         let row = FaultRow {
-            kind: "fault".to_string(),
+            kind: "fault".into(),
             run_idx: 0,
             t,
-            fault: fault.to_string(),
-            phase: phase.to_string(),
+            fault: fault.into(),
+            phase: phase.into(),
             detail: detail.to_string(),
         };
         format!("{}\n", serde_json::to_string(&row).unwrap())
@@ -1468,7 +1469,7 @@ mod tests {
         s += &fault_line(1.0, "ap_outage", "start", "ap=1 dropped_queued=3");
         s += &fault_line(2.5, "ap_outage", "end", "ap=1");
         let row = ReassocRow {
-            kind: "reassoc".to_string(),
+            kind: "reassoc".into(),
             run_idx: 0,
             t: 1.2,
             station: 7,

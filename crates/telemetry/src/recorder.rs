@@ -15,6 +15,7 @@
 //! closed intervals are final, and the rows come out in deterministic
 //! (time, station) order regardless of host thread count.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use crate::histogram::LogHistogram;
@@ -187,6 +188,13 @@ fn push_lines<T: serde::Serialize>(out: &mut String, rows: &[T]) {
     }
 }
 
+/// `rows` without its growth slack: a report holds its rows until the
+/// caller renders them, so spare capacity would be dead heap until then.
+fn exact<T>(mut rows: Vec<T>) -> Vec<T> {
+    rows.shrink_to_fit();
+    rows
+}
+
 /// One resolved MAC attempt, as reported by the engine at the close of
 /// the feedback window (grouped into a struct because the outcome is the
 /// widest telemetry point).
@@ -222,26 +230,26 @@ pub struct OutcomeEvent {
 /// resolves the adapter's [`softrate_core`-side] decision record into
 /// station/port coordinates and trigger names before calling the hook).
 #[derive(Debug, Clone, Copy)]
-pub struct DecisionEvent<'a> {
+pub struct DecisionEvent {
     /// Station (flow) the deciding port belongs to.
     pub station: usize,
     /// Port index inside the simulator.
     pub port: usize,
     /// Adapter short name.
-    pub adapter: &'a str,
+    pub adapter: &'static str,
     /// Rate index before the decision.
     pub old_rate: usize,
     /// Rate index after the decision.
     pub new_rate: usize,
     /// Trigger class name (`ack`, `loss`, `timeout`, `probe`,
     /// `handoff_preserve`, `handoff_reset`).
-    pub trigger: &'a str,
+    pub trigger: &'static str,
     /// SNR input at decision time, dB.
     pub snr_db: Option<f64>,
     /// BER input at decision time.
     pub ber: Option<f64>,
     /// Adapter-specific reason code.
-    pub reason: &'a str,
+    pub reason: &'static str,
 }
 
 /// Per-station accumulator for the open interval (and, with a different
@@ -309,10 +317,10 @@ pub struct Recorder {
     reassocs: Vec<ReassocRow>,
     /// Fault classes currently active (label per started-but-unended
     /// fault).
-    active_faults: Vec<String>,
+    active_faults: Vec<&'static str>,
     /// Fault classes active at any point during the open interval —
     /// seeded from `active_faults` every time an interval closes.
-    interval_faults: Vec<String>,
+    interval_faults: Vec<&'static str>,
     trace: Vec<TraceRow>,
     decisions: Vec<DecisionRow>,
     ring: VecDeque<TraceRow>,
@@ -387,7 +395,7 @@ impl Recorder {
             a.fold_into(&mut self.totals[st]);
             if a.touched {
                 self.intervals.push(IntervalRow {
-                    kind: "interval".to_string(),
+                    kind: Cow::Borrowed("interval"),
                     run_idx: 0,
                     station: st as u64,
                     t0,
@@ -415,11 +423,11 @@ impl Recorder {
             }
             if a.retries >= self.cfg.retry_storm {
                 self.anomalies.push(AnomalyRow {
-                    kind: "anomaly".to_string(),
+                    kind: Cow::Borrowed("anomaly"),
                     run_idx: 0,
                     station: st as u64,
                     t: t1,
-                    anomaly: "retry-storm".to_string(),
+                    anomaly: Cow::Borrowed("retry-storm"),
                     detail: format!("{} failed attempts in one interval", a.retries),
                 });
                 dump = true;
@@ -427,11 +435,11 @@ impl Recorder {
             if self.prev_delivered[st] >= self.cfg.collapse_min_delivered && a.frames_delivered == 0
             {
                 self.anomalies.push(AnomalyRow {
-                    kind: "anomaly".to_string(),
+                    kind: Cow::Borrowed("anomaly"),
                     run_idx: 0,
                     station: st as u64,
                     t: t1,
-                    anomaly: "goodput-collapse".to_string(),
+                    anomaly: Cow::Borrowed("goodput-collapse"),
                     detail: format!(
                         "delivered {} then 0 in the next interval",
                         self.prev_delivered[st]
@@ -473,14 +481,14 @@ impl Recorder {
         }
     }
 
-    fn frame_row(t: f64, station: usize, sender: usize, ev: &str) -> TraceRow {
+    fn frame_row(t: f64, station: usize, sender: usize, ev: &'static str) -> TraceRow {
         TraceRow {
-            kind: "frame".to_string(),
+            kind: Cow::Borrowed("frame"),
             run_idx: 0,
             t,
             station: station as u64,
             sender: sender as u64,
-            ev: ev.to_string(),
+            ev: Cow::Borrowed(ev),
             tx_id: None,
             rate_idx: None,
             attempt: None,
@@ -608,7 +616,7 @@ impl Recorder {
             row.attempt = Some(ev.attempt);
             row.airtime_s = Some(ev.airtime_s);
             row.snr_db = ev.snr_db;
-            row.cause = ev.cause.map(|c| c.name().to_string());
+            row.cause = ev.cause.map(|c| Cow::Borrowed(c.name()));
             self.trace_row(row);
         }
     }
@@ -643,23 +651,23 @@ impl Recorder {
     /// deterministic) event loop, so the ledger is byte-identical across
     /// host thread counts. The hook touches no interval or histogram
     /// state: enabling the ledger never changes the other two streams.
-    pub fn on_decision(&mut self, now: f64, ev: DecisionEvent<'_>) {
+    pub fn on_decision(&mut self, now: f64, ev: DecisionEvent) {
         if !self.cfg.decisions {
             return;
         }
         self.decisions.push(DecisionRow {
-            kind: "decision".to_string(),
+            kind: Cow::Borrowed("decision"),
             run_idx: 0,
             t_us: (now * 1e6).round() as u64,
             station: ev.station as u64,
             port: ev.port as u64,
-            adapter: ev.adapter.to_string(),
+            adapter: Cow::Borrowed(ev.adapter),
             old_rate: ev.old_rate as u64,
             new_rate: ev.new_rate as u64,
-            trigger: ev.trigger.to_string(),
+            trigger: Cow::Borrowed(ev.trigger),
             snr_db: ev.snr_db,
             ber: ev.ber,
-            reason: ev.reason.to_string(),
+            reason: Cow::Borrowed(ev.reason),
         });
     }
 
@@ -672,23 +680,23 @@ impl Recorder {
     /// (`phase = "end"`). Inert like every hook: records the lifecycle
     /// row and maintains the active-fault label set that tags interval
     /// rows — never touches counters or histograms.
-    pub fn on_fault(&mut self, now: f64, fault: &str, phase: &str, detail: String) {
+    pub fn on_fault(&mut self, now: f64, fault: &'static str, phase: &'static str, detail: String) {
         self.advance(now);
         self.faults.push(FaultRow {
-            kind: "fault".to_string(),
+            kind: Cow::Borrowed("fault"),
             run_idx: 0,
             t: now,
-            fault: fault.to_string(),
-            phase: phase.to_string(),
+            fault: Cow::Borrowed(fault),
+            phase: Cow::Borrowed(phase),
             detail,
         });
         match phase {
             "start" => {
-                self.active_faults.push(fault.to_string());
-                self.interval_faults.push(fault.to_string());
+                self.active_faults.push(fault);
+                self.interval_faults.push(fault);
             }
             _ => {
-                if let Some(i) = self.active_faults.iter().position(|f| f == fault) {
+                if let Some(i) = self.active_faults.iter().position(|&f| f == fault) {
                     self.active_faults.remove(i);
                 }
             }
@@ -707,7 +715,7 @@ impl Recorder {
     ) {
         self.advance(now);
         self.reassocs.push(ReassocRow {
-            kind: "reassoc".to_string(),
+            kind: Cow::Borrowed("reassoc"),
             run_idx: 0,
             t: now,
             station: station as u64,
@@ -740,13 +748,14 @@ impl Recorder {
             self.close_interval(t0, duration);
         }
         let span = duration.max(1e-12);
-        let mut totals = Vec::new();
+        let touched = self.totals.iter().filter(|a| a.touched).count();
+        let mut totals = Vec::with_capacity(touched);
         for (st, a) in self.totals.iter().enumerate() {
             if !a.touched {
                 continue;
             }
             totals.push(TotalsRow {
-                kind: "totals".to_string(),
+                kind: Cow::Borrowed("totals"),
                 run_idx: 0,
                 station: st as u64,
                 attempts: a.attempts,
@@ -770,14 +779,14 @@ impl Recorder {
             self.h_rtt.to_row("tcp_rtt", "s", 0),
         ];
         TelemetryReport {
-            intervals: self.intervals,
+            intervals: exact(self.intervals),
             totals,
             hists,
-            anomalies: self.anomalies,
-            faults: self.faults,
-            reassocs: self.reassocs,
-            trace: self.trace,
-            decisions: self.decisions,
+            anomalies: exact(self.anomalies),
+            faults: exact(self.faults),
+            reassocs: exact(self.reassocs),
+            trace: exact(self.trace),
+            decisions: exact(self.decisions),
         }
     }
 }
@@ -1002,8 +1011,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_row_kind_writes_as_its_value_tree() {
+    /// A run that produces every row kind: trace and ledger on, one
+    /// jammer fault started and ended, a retry storm, a handoff and a
+    /// re-association.
+    fn every_kind_report() -> TelemetryReport {
         let cfg = RecorderConfig {
             interval: 0.1,
             trace: true,
@@ -1043,6 +1054,12 @@ mod tests {
         r.on_reassoc(0.16, 1, 2, 0, 0.12);
         let mut rep = r.finish(0.3);
         rep.stamp_run_idx(5);
+        rep
+    }
+
+    #[test]
+    fn every_row_kind_writes_as_its_value_tree() {
+        let rep = every_kind_report();
         assert_writers_agree(&rep.intervals);
         assert_writers_agree(&rep.totals);
         assert_writers_agree(&rep.hists);
@@ -1059,6 +1076,67 @@ mod tests {
         ] {
             assert_eq!(stream.capacity(), stream.len());
         }
+    }
+
+    #[test]
+    fn report_rows_are_exact_size_and_borrow_their_names() {
+        let rep = every_kind_report();
+        fn exact<T>(rows: &Vec<T>) {
+            assert!(!rows.is_empty());
+            assert_eq!(rows.capacity(), rows.len());
+        }
+        exact(&rep.intervals);
+        exact(&rep.totals);
+        exact(&rep.hists);
+        exact(&rep.anomalies);
+        exact(&rep.faults);
+        exact(&rep.reassocs);
+        exact(&rep.trace);
+        exact(&rep.decisions);
+        let mut names: Vec<&Cow<'static, str>> = Vec::new();
+        names.extend(rep.intervals.iter().map(|r| &r.kind));
+        names.extend(rep.totals.iter().map(|r| &r.kind));
+        names.extend(rep.hists.iter().flat_map(|r| [&r.kind, &r.metric, &r.unit]));
+        names.extend(rep.anomalies.iter().flat_map(|r| [&r.kind, &r.anomaly]));
+        names.extend(
+            rep.faults
+                .iter()
+                .flat_map(|r| [&r.kind, &r.fault, &r.phase]),
+        );
+        names.extend(rep.reassocs.iter().map(|r| &r.kind));
+        names.extend(rep.trace.iter().flat_map(|r| [&r.kind, &r.ev]));
+        names.extend(rep.trace.iter().filter_map(|r| r.cause.as_ref()));
+        names.extend(
+            rep.decisions
+                .iter()
+                .flat_map(|r| [&r.kind, &r.adapter, &r.trigger, &r.reason]),
+        );
+        assert!(rep.trace.iter().any(|r| r.cause.is_some()));
+        for name in names {
+            assert!(matches!(name, Cow::Borrowed(_)), "{name:?} is owned");
+        }
+    }
+
+    #[test]
+    fn rendered_streams_parse_back_to_the_recorded_rows() {
+        use crate::inspect::{parse_stream, Row};
+        let rep = every_kind_report();
+        let metrics: Vec<Row> = (rep.intervals.iter().cloned().map(Row::Interval))
+            .chain(rep.totals.iter().cloned().map(Row::Totals))
+            .chain(rep.hists.iter().cloned().map(Row::Hist))
+            .chain(rep.anomalies.iter().cloned().map(Row::Anomaly))
+            .chain(rep.faults.iter().cloned().map(Row::Fault))
+            .chain(rep.reassocs.iter().cloned().map(Row::Reassoc))
+            .collect();
+        let decisions: Vec<Row> = rep.decisions.iter().cloned().map(Row::Decision).collect();
+        assert_eq!(parse_stream(&rep.metrics_jsonl()).unwrap(), metrics);
+        let parsed = parse_stream(&rep.decisions_jsonl()).unwrap();
+        assert_eq!(parsed, decisions);
+        // Parsed rows own their names.
+        let Row::Decision(d) = &parsed[0] else {
+            panic!("the ledger holds decision rows");
+        };
+        assert!(matches!(d.adapter, Cow::Owned(_)));
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! values are produced
 //! deterministically by the [`crate::Recorder`], so two runs of the same
 //! configuration — at any thread count — serialize byte-identically.
+//!
+//! Fields whose value comes from a fixed vocabulary (`kind`, adapter,
+//! trigger, reason, metric and fault names, ...) are `Cow<'static, str>`:
+//! the recorder borrows static names, so a row costs no heap for them,
+//! and a row parsed back from JSONL owns its strings.
+
+use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
 
@@ -22,7 +29,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IntervalRow {
     /// Row discriminator: always `"interval"`.
-    pub kind: String,
+    pub kind: Cow<'static, str>,
     /// The run this row belongs to (stamped by the scenario engine).
     pub run_idx: u64,
     /// Station (flow) index.
@@ -79,7 +86,7 @@ pub struct IntervalRow {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TotalsRow {
     /// Row discriminator: always `"totals"`.
-    pub kind: String,
+    pub kind: Cow<'static, str>,
     /// The run this row belongs to.
     pub run_idx: u64,
     /// Station (flow) index.
@@ -117,13 +124,13 @@ pub struct TotalsRow {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistRow {
     /// Row discriminator: always `"hist"`.
-    pub kind: String,
+    pub kind: Cow<'static, str>,
     /// The run this row belongs to.
     pub run_idx: u64,
     /// Metric name (`access_delay`, `airtime`, `tcp_rtt`).
-    pub metric: String,
+    pub metric: Cow<'static, str>,
     /// Unit of recorded values (`s`).
-    pub unit: String,
+    pub unit: Cow<'static, str>,
     /// Bucketing base: values below it land in the underflow bucket.
     pub base: f64,
     /// Total recorded values.
@@ -146,7 +153,7 @@ pub struct HistRow {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AnomalyRow {
     /// Row discriminator: always `"anomaly"`.
-    pub kind: String,
+    pub kind: Cow<'static, str>,
     /// The run this row belongs to.
     pub run_idx: u64,
     /// Station the anomaly was detected on.
@@ -154,7 +161,7 @@ pub struct AnomalyRow {
     /// End of the interval that tripped the rule, simulated seconds.
     pub t: f64,
     /// Rule that tripped: `"retry-storm"` or `"goodput-collapse"`.
-    pub anomaly: String,
+    pub anomaly: Cow<'static, str>,
     /// Human-readable numbers behind the verdict.
     pub detail: String,
 }
@@ -169,7 +176,7 @@ pub struct AnomalyRow {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceRow {
     /// Row discriminator: always `"frame"`.
-    pub kind: String,
+    pub kind: Cow<'static, str>,
     /// The run this row belongs to.
     pub run_idx: u64,
     /// Event time, simulated seconds.
@@ -179,7 +186,7 @@ pub struct TraceRow {
     /// Physical transmitter index (a station, or the AP).
     pub sender: u64,
     /// Lifecycle step.
-    pub ev: String,
+    pub ev: Cow<'static, str>,
     /// Transmission id, for steps tied to one attempt.
     pub tx_id: Option<u64>,
     /// Transmit rate index.
@@ -192,7 +199,7 @@ pub struct TraceRow {
     pub snr_db: Option<f64>,
     /// Loss attribution (`collision`, `fading`, `capture`, `outage`,
     /// `jamming`) on failures.
-    pub cause: Option<String>,
+    pub cause: Option<Cow<'static, str>>,
     /// MAC queue depth after an enqueue.
     pub queue_depth: Option<u64>,
     /// This row was dumped from the flight-recorder ring on an anomaly.
@@ -207,16 +214,16 @@ pub struct TraceRow {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultRow {
     /// Row discriminator: always `"fault"`.
-    pub kind: String,
+    pub kind: Cow<'static, str>,
     /// The run this row belongs to.
     pub run_idx: u64,
     /// Event time, simulated seconds.
     pub t: f64,
     /// Fault class: `ap_outage`, `jammer`, `noise_step`, `churn_join`,
     /// or `churn_leave`.
-    pub fault: String,
+    pub fault: Cow<'static, str>,
     /// Lifecycle phase: `"start"` or `"end"`.
-    pub phase: String,
+    pub phase: Cow<'static, str>,
     /// Human-readable specifics (which AP, how many frames dropped,
     /// the SNR delta, ...).
     pub detail: String,
@@ -228,7 +235,7 @@ pub struct FaultRow {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReassocRow {
     /// Row discriminator: always `"reassoc"`.
-    pub kind: String,
+    pub kind: Cow<'static, str>,
     /// The run this row belongs to.
     pub run_idx: u64,
     /// Handoff completion time, simulated seconds.
@@ -253,7 +260,7 @@ pub struct ReassocRow {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecisionRow {
     /// Row discriminator: always `"decision"`.
-    pub kind: String,
+    pub kind: Cow<'static, str>,
     /// The run this row belongs to.
     pub run_idx: u64,
     /// Decision time, integer simulated microseconds.
@@ -263,19 +270,19 @@ pub struct DecisionRow {
     /// Port index inside the simulator (uplink/downlink ports differ).
     pub port: u64,
     /// Adapter short name ("SoftRate", "SampleRate", ...).
-    pub adapter: String,
+    pub adapter: Cow<'static, str>,
     /// Rate index before the decision.
     pub old_rate: u64,
     /// Rate index after the decision.
     pub new_rate: u64,
     /// Trigger class: `ack`, `loss`, `timeout`, `probe`,
     /// `handoff_preserve`, or `handoff_reset`.
-    pub trigger: String,
+    pub trigger: Cow<'static, str>,
     /// SNR input observed at decision time, dB (if any).
     pub snr_db: Option<f64>,
     /// BER input observed at decision time (if any).
     pub ber: Option<f64>,
     /// Adapter-specific reason code (e.g. `threshold-crossing`,
     /// `airtime-table-winner`, `silent-loss-limit`).
-    pub reason: String,
+    pub reason: Cow<'static, str>,
 }
