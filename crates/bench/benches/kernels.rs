@@ -5,8 +5,8 @@
 //!   carrier-sense / interference arithmetic the pruning radii avoid;
 //! * `Jakes::gain` — the fused single-pass sum-of-sinusoids evaluation
 //!   over preinterleaved `(w, phase)` pairs;
-//! * `analytic_frame_success` — the closed-form success kernel, raw and
-//!   through the exact-key `FrameSuccessMemo` (hit and miss regimes);
+//! * `analytic_frame_success` — the closed-form success kernel, and the
+//!   banded rate oracle (`OracleBands`) that almost never needs it;
 //!
 //! Numbers here anchor DESIGN.md §7's cost model; the end-to-end
 //! effect is tracked by `netscale` / `BENCH_netscale.json`.
@@ -17,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use softrate_bench::bench_budget;
 
-use softrate_channel::analytic::{analytic_frame_success, FrameSuccessMemo, OracleBands};
+use softrate_channel::analytic::{analytic_frame_success, OracleBands};
 use softrate_channel::jakes::JakesFading;
 use softrate_net::mobility::MobilitySpec;
 use softrate_net::spatial::SpatialSpec;
@@ -90,24 +90,6 @@ fn bench_frame_success(c: &mut Criterion) {
         b.iter(|| {
             k = k.wrapping_add(1);
             analytic_frame_success(5.0 + (k % 257) as f64 * 0.1, k % 6, 11_520)
-        })
-    });
-    // Exact-key memo: the static-link regime (few distinct SNRs) hits,
-    // the mobile regime (fresh SNR bits every call) misses.
-    g.bench_function("analytic_frame_success_memo_hit", |b| {
-        let mut memo = FrameSuccessMemo::new();
-        let mut k = 0usize;
-        b.iter(|| {
-            k = k.wrapping_add(1);
-            memo.success(5.0 + (k % 8) as f64, k % 6, 11_520)
-        })
-    });
-    g.bench_function("analytic_frame_success_memo_miss", |b| {
-        let mut memo = FrameSuccessMemo::new();
-        let mut snr = 0.0f64;
-        b.iter(|| {
-            snr += 1.3e-4;
-            memo.success(5.0 + (snr % 25.0), 3, 11_520)
         })
     });
     g.bench_function("oracle_bands_best_rate", |b| {

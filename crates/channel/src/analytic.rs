@@ -138,119 +138,6 @@ impl OracleBands {
     }
 }
 
-/// Slot count of a [`FrameSuccessMemo`] (power of two; ~96 KiB).
-const MEMO_SLOTS: usize = 4096;
-
-/// One direct-mapped memo slot. `frame_bits == u64::MAX` marks an empty
-/// slot (no real frame is that long).
-#[derive(Debug, Clone, Copy)]
-struct MemoSlot {
-    snr_bits: u64,
-    rate_idx: u32,
-    frame_bits: u64,
-    ber: f64,
-    success: f64,
-}
-
-const EMPTY_SLOT: MemoSlot = MemoSlot {
-    snr_bits: 0,
-    rate_idx: 0,
-    frame_bits: u64::MAX,
-    ber: 0.0,
-    success: 0.0,
-};
-
-/// Direct-mapped slot for a key: SplitMix64-style finalizer over the
-/// packed `(snr bits, rate, frame bits)` triple.
-#[inline]
-fn slot_index(snr_bits: u64, rate_idx: u32, frame_bits: u64) -> usize {
-    let mut h = snr_bits ^ (rate_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^= frame_bits.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h ^= h >> 31;
-    (h as usize) & (MEMO_SLOTS - 1)
-}
-
-/// A direct-mapped memo over [`analytic_ber`] + [`analytic_frame_success`],
-/// keyed by the **exact** `(snr_db bits, rate_idx, frame_bits)` triple.
-///
-/// The analytic kernels are pure, so a hit returns the identical `f64`s a
-/// fresh evaluation would — memoized and unmemoized callers are
-/// bit-indistinguishable (the goldens prove it end to end). The win is on
-/// links whose instantaneous SNR repeats exactly: static deployments with
-/// zero-Doppler draws, and any pass that evaluates several rates at one
-/// SNR (the omniscient oracle probes all six rates per attempt, and
-/// repeated attempts inside one coherence-time plateau re-probe the same
-/// values). Collisions simply overwrite (direct-mapped): correctness
-/// never depends on a hit.
-#[derive(Debug, Clone)]
-pub struct FrameSuccessMemo {
-    slots: Box<[MemoSlot]>,
-}
-
-impl Default for FrameSuccessMemo {
-    fn default() -> Self {
-        FrameSuccessMemo {
-            slots: vec![EMPTY_SLOT; MEMO_SLOTS].into_boxed_slice(),
-        }
-    }
-}
-
-impl FrameSuccessMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `(analytic_ber, analytic_frame_success)` at the exact key,
-    /// memoized.
-    pub fn ber_and_success(
-        &mut self,
-        snr_db: f64,
-        rate_idx: usize,
-        frame_bits: usize,
-    ) -> (f64, f64) {
-        let snr_bits = snr_db.to_bits();
-        let slot = &mut self.slots[slot_index(snr_bits, rate_idx as u32, frame_bits as u64)];
-        if slot.snr_bits == snr_bits
-            && slot.rate_idx == rate_idx as u32
-            && slot.frame_bits == frame_bits as u64
-        {
-            return (slot.ber, slot.success);
-        }
-        let ber = analytic_ber(snr_db, rate_idx);
-        let success = frame_success_prob(ber, frame_bits);
-        *slot = MemoSlot {
-            snr_bits,
-            rate_idx: rate_idx as u32,
-            frame_bits: frame_bits as u64,
-            ber,
-            success,
-        };
-        (ber, success)
-    }
-
-    /// Memoized [`analytic_frame_success`].
-    pub fn success(&mut self, snr_db: f64, rate_idx: usize, frame_bits: usize) -> f64 {
-        self.ber_and_success(snr_db, rate_idx, frame_bits).1
-    }
-
-    /// Memoized [`best_rate_for_snr`]: same comparisons over the same
-    /// (memoized) kernel values, so the chosen rate is always identical.
-    pub fn best_rate(&mut self, snr_db: f64, frame_bits: usize) -> usize {
-        if snr_db < DETECT_SNR_DB {
-            return 0;
-        }
-        let mut best = 0;
-        for r in 0..REQUIRED_SNR_DB.len() {
-            let (ber, success) = self.ber_and_success(snr_db, r, frame_bits);
-            if ber < HEADER_FAIL_BER && success > 0.95 {
-                best = r;
-            }
-        }
-        best
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,25 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_is_bit_identical_to_the_kernels() {
-        let mut memo = FrameSuccessMemo::new();
-        // Sweep enough keys to force slot collisions and re-fills, and
-        // query each twice (miss then hit): every answer must equal the
-        // unmemoized kernel bit-for-bit.
-        for k in 0..5000 {
-            let snr = -10.0 + (k % 700) as f64 * 0.0717;
-            let r = k % REQUIRED_SNR_DB.len();
-            let bits = [832, 11_520, 8000][k % 3];
-            for _ in 0..2 {
-                let (ber, p) = memo.ber_and_success(snr, r, bits);
-                assert_eq!(ber.to_bits(), analytic_ber(snr, r).to_bits());
-                assert_eq!(p.to_bits(), analytic_frame_success(snr, r, bits).to_bits());
-                assert_eq!(memo.success(snr, r, bits).to_bits(), p.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn banded_oracle_matches_the_exact_oracle_everywhere() {
         for bits in [832usize, 8000, 11_520] {
             let bands = OracleBands::new(bits);
@@ -325,17 +193,6 @@ mod tests {
                     best_rate_for_snr(snr, bits),
                     "snr={snr} bits={bits}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn memo_best_rate_matches_the_oracle() {
-        let mut memo = FrameSuccessMemo::new();
-        for k in 0..2000 {
-            let snr = -8.0 + k as f64 * 0.0251;
-            for bits in [832usize, 11_520] {
-                assert_eq!(memo.best_rate(snr, bits), best_rate_for_snr(snr, bits));
             }
         }
     }

@@ -15,7 +15,7 @@
 //! [`LinkTrace`]: softrate_trace::schema::LinkTrace
 
 use softrate_channel::analytic::{
-    analytic_ber, frame_success_prob, FrameSuccessMemo, DETECT_SNR_DB, HEADER_FAIL_BER,
+    analytic_ber, frame_success_prob, DETECT_SNR_DB, HEADER_FAIL_BER,
 };
 use softrate_channel::jakes::JakesFading;
 use softrate_trace::schema::FrameFate;
@@ -53,44 +53,22 @@ impl StreamingLink {
         10.0 * self.jakes.gain(t).norm_sqr().max(ENVELOPE_FLOOR).log10()
     }
 
-    /// Instantaneous SNR at `t` given the link's mean (path-loss) SNR.
-    pub fn snr_db(&self, mean_snr_db: f64, t: f64) -> f64 {
-        mean_snr_db + self.envelope_db(t)
-    }
-
     /// Consumes and returns the link's next fate coin (uniform `[0, 1)`).
     ///
-    /// The fast path draws the coin itself so it can resolve the fate
-    /// through [`fate_from_draw`] with a memoized envelope — one draw per
-    /// attempt either way, so the coin sequence is unchanged.
+    /// One draw per attempt, so the sequence of fates is a deterministic
+    /// function of the call order — which the single-threaded event loop
+    /// makes deterministic in turn. Resolve the coin with
+    /// [`fate_from_draw`] at the instantaneous SNR (mean SNR plus
+    /// [`StreamingLink::envelope_db`]).
     pub fn draw(&mut self) -> f64 {
         self.stream.next_f64()
     }
-
-    /// Draws the interference-free fate of a `frame_bits`-bit frame sent at
-    /// `t` and `rate_idx` on a link whose mean SNR is `mean_snr_db`.
-    ///
-    /// Consumes exactly one draw from the link's stream per call, so the
-    /// sequence of fates is a deterministic function of the call order —
-    /// which the single-threaded event loop makes deterministic in turn.
-    pub fn fate(
-        &mut self,
-        mean_snr_db: f64,
-        t: f64,
-        rate_idx: usize,
-        frame_bits: usize,
-    ) -> FrameFate {
-        let u = self.stream.next_f64();
-        let snr = self.snr_db(mean_snr_db, t);
-        fate_from_draw(u, snr, rate_idx, frame_bits)
-    }
 }
 
-/// The undetectable-frame fate and the detected-frame assembly shared by
-/// both fate resolvers below — one body, so the memoized and unmemoized
-/// paths cannot drift apart.
-fn fate_from_parts(u: f64, snr: f64, ber_and_p: Option<(f64, f64)>) -> FrameFate {
-    let Some((ber, p)) = ber_and_p else {
+/// Resolves the interference-free fate of a `frame_bits`-bit frame sent
+/// at `rate_idx` from a drawn coin `u` and the instantaneous SNR `snr`.
+pub fn fate_from_draw(u: f64, snr: f64, rate_idx: usize, frame_bits: usize) -> FrameFate {
+    if snr < DETECT_SNR_DB {
         return FrameFate {
             detected: false,
             header_ok: false,
@@ -98,54 +76,41 @@ fn fate_from_parts(u: f64, snr: f64, ber_and_p: Option<(f64, f64)>) -> FrameFate
             ber_feedback: None,
             snr_feedback_db: None,
         };
-    };
+    }
+    let ber = analytic_ber(snr, rate_idx);
     let header_ok = ber < HEADER_FAIL_BER;
     FrameFate {
         detected: true,
         header_ok,
-        delivered: header_ok && u < p,
+        delivered: header_ok && u < frame_success_prob(ber, frame_bits),
         ber_feedback: header_ok.then_some(ber),
         snr_feedback_db: header_ok.then_some(snr),
     }
-}
-
-/// Resolves a frame fate from an already-drawn coin `u` and an
-/// already-computed instantaneous SNR — the exact body
-/// [`StreamingLink::fate`] has always applied, split out so the spatial
-/// fast path can feed it a memoized envelope (and memoized BER/success
-/// values that are themselves bit-identical to the kernels).
-pub fn fate_from_draw(u: f64, snr: f64, rate_idx: usize, frame_bits: usize) -> FrameFate {
-    let parts = (snr >= DETECT_SNR_DB).then(|| {
-        let ber = analytic_ber(snr, rate_idx);
-        (ber, frame_success_prob(ber, frame_bits))
-    });
-    fate_from_parts(u, snr, parts)
-}
-
-/// [`fate_from_draw`] with the BER/success pair served by a
-/// [`FrameSuccessMemo`] — identical output (the memo returns the exact
-/// kernel values), cheaper on exact-SNR repeats.
-pub fn fate_from_draw_memo(
-    u: f64,
-    snr: f64,
-    rate_idx: usize,
-    frame_bits: usize,
-    memo: &mut FrameSuccessMemo,
-) -> FrameFate {
-    let parts = (snr >= DETECT_SNR_DB).then(|| memo.ber_and_success(snr, rate_idx, frame_bits));
-    fate_from_parts(u, snr, parts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The medium's sequence for one attempt: one coin, the envelope at
+    /// send time, then the fate at the instantaneous SNR.
+    fn fate(
+        l: &mut StreamingLink,
+        mean_snr_db: f64,
+        t: f64,
+        rate: usize,
+        bits: usize,
+    ) -> FrameFate {
+        let u = l.draw();
+        fate_from_draw(u, mean_snr_db + l.envelope_db(t), rate, bits)
+    }
+
     #[test]
     fn high_snr_always_delivers() {
         let mut l = StreamingLink::new(1, 2, 0.0);
         // Mean 60 dB: even a deep fade leaves tens of dB of margin.
         for k in 0..50 {
-            let f = l.fate(60.0, k as f64 * 0.01, 5, 11_520);
+            let f = fate(&mut l, 60.0, k as f64 * 0.01, 5, 11_520);
             assert!(f.detected && f.header_ok && f.delivered, "k={k}");
             assert!(f.ber_feedback.unwrap() <= 1e-9 * 1.001);
         }
@@ -154,7 +119,7 @@ mod tests {
     #[test]
     fn deep_noise_is_silent() {
         let mut l = StreamingLink::new(3, 4, 0.0);
-        let f = l.fate(-30.0, 0.0, 0, 8000);
+        let f = fate(&mut l, -30.0, 0.0, 0, 8000);
         assert!(!f.detected && !f.delivered && f.ber_feedback.is_none());
     }
 
@@ -164,7 +129,10 @@ mod tests {
         let mut b = StreamingLink::new(9, 10, 40.0);
         for k in 0..100 {
             let t = k as f64 * 0.002;
-            assert_eq!(a.fate(12.0, t, 3, 11_520), b.fate(12.0, t, 3, 11_520));
+            assert_eq!(
+                fate(&mut a, 12.0, t, 3, 11_520),
+                fate(&mut b, 12.0, t, 3, 11_520)
+            );
         }
         // A different stream seed re-flips the coins (same fading).
         let mut c = StreamingLink::new(9, 11, 40.0);
@@ -172,7 +140,9 @@ mod tests {
         let mut a2 = StreamingLink::new(9, 10, 40.0);
         for k in 0..200 {
             let t = k as f64 * 0.002;
-            if a2.fate(9.0, t, 2, 11_520).delivered != c.fate(9.0, t, 2, 11_520).delivered {
+            if fate(&mut a2, 9.0, t, 2, 11_520).delivered
+                != fate(&mut c, 9.0, t, 2, 11_520).delivered
+            {
                 diff += 1;
             }
         }
@@ -185,7 +155,7 @@ mod tests {
         let mut delivered = 0;
         let mut lost = 0;
         for k in 0..400 {
-            let f = l.fate(12.0, k as f64 * 0.005, 3, 11_520);
+            let f = fate(&mut l, 12.0, k as f64 * 0.005, 3, 11_520);
             if f.delivered {
                 delivered += 1;
             } else {

@@ -37,7 +37,7 @@
 
 use std::collections::VecDeque;
 
-use softrate_channel::analytic::{FrameSuccessMemo, OracleBands};
+use softrate_channel::analytic::OracleBands;
 use softrate_core::adapter::{DecisionTrigger, RateAdapter, TxAttempt};
 use softrate_sim::config::AdapterKind;
 use softrate_sim::fault::{FaultConfig, FaultDriver, FaultLoss};
@@ -52,7 +52,7 @@ use softrate_sim::transport::{
 use softrate_telemetry::DecisionEvent;
 use softrate_trace::schema::{hash_uniform, FrameFate};
 
-use crate::channel::{fate_from_draw_memo, StreamingLink};
+use crate::channel::{fate_from_draw, StreamingLink};
 use crate::geometry::Point;
 use crate::grid::{dist2, SenseIndex, TxEntry};
 use crate::mobility::MobilityWalker;
@@ -159,9 +159,9 @@ struct Station {
 }
 
 /// Per-attempt data: the BSS, the receiver (an AP for uplink frames, a
-/// station for downlink), the mean signal SNR at start, and the
-/// transmitter's position at start (the grid key, and the anchor the
-/// drift-padded pruning reasons from).
+/// station for downlink), the mean and instantaneous signal SNR at start,
+/// and the transmitter's position at start (the grid key, and the anchor
+/// the drift-padded pruning reasons from).
 #[derive(Debug, Clone, Copy)]
 struct SpatialTx {
     /// The BSS this transmission belongs to (receiver AP for uplink,
@@ -172,6 +172,10 @@ struct SpatialTx {
     rx_station: Option<usize>,
     /// Mean (path-loss only) signal SNR at the receiver at start, dB.
     sig_snr_db: f64,
+    /// Instantaneous SNR at start: `sig_snr_db` plus the link's fading
+    /// envelope, dB. The oracle reads it at transmit time and the fate
+    /// draw at the feedback window — one channel, fixed at send time.
+    snr_db: f64,
     /// Transmitter position at transmit start.
     start_pos: Point,
     /// What the frame carries (`Flows` mode; the saturated fast path's
@@ -278,10 +282,6 @@ struct FaultState {
 }
 
 type Core = MacCore<SpatialEv, SpatialTx>;
-
-/// The `t` sentinel that can never equal a real query time's bits (the
-/// event loop never produces NaN timestamps), marking memo slots empty.
-const NO_TIME: u64 = u64::MAX; // f64::NAN bit patterns vary; u64::MAX is one of them
 
 /// The flow-mode wireless fabric: MAC queues for both directions plus the
 /// shared transport layer above them.
@@ -407,34 +407,15 @@ impl SenseBands {
     }
 }
 
-/// Position of station `st` at `t` through the per-station `(t bits,
-/// position)` memo over its resumable walker.
-fn memo_pos(
-    pos_cache: &mut [(u64, Point)],
-    walkers: &mut [MobilityWalker],
-    params: &SpatialParams,
-    st: usize,
-    t: f64,
-) -> Point {
-    let bits = t.to_bits();
-    let (cached, p) = pos_cache[st];
-    if cached == bits {
-        return p;
-    }
-    let p = walkers[st].position(&params.mobility, &params.bounds, t);
-    pos_cache[st] = (bits, p);
-    p
-}
-
 /// The multi-cell geometric environment with streaming channels.
 ///
 /// Its hot passes run on an exact-semantics fast path (DESIGN.md §7):
 /// conservative pruning radii inverted from the path-loss model, a
-/// carrier-sense index over active transmitters, and per-event memo caches for
-/// positions, station→AP SNRs, and fading envelopes. Every skipped
-/// candidate provably fails the exact check it skipped, and every cache
-/// hit returns the bit-identical value a fresh evaluation would — the
-/// unregenerated goldens in `tests/goldens/` pin that end to end.
+/// carrier-sense index over active transmitters, resumable mobility
+/// walkers and a banded rate oracle. Every skipped candidate provably
+/// fails the exact check it skipped — the unregenerated goldens in
+/// `tests/goldens/` pin that end to end. Each attempt's instantaneous SNR
+/// is computed once, at transmit start, and carried in its [`SpatialTx`].
 struct SpatialMedium {
     cfg: SpatialConfig,
     params: SpatialParams,
@@ -458,17 +439,6 @@ struct SpatialMedium {
     /// (mobility speed × slowest-rate airtime, padded) — added to every
     /// radius compared against a transmit-*start* position.
     drift_pad_m: f64,
-    /// Per-station `(t bits, position)` memo.
-    pos_cache: Vec<(u64, Point)>,
-    /// Per-station `(t bits, ap, mean SNR)` memo — one slot per station
-    /// rather than a station×AP matrix, so memory stays O(stations) on
-    /// ladder-scale floors (100k stations × 625 APs would be a gigabyte).
-    /// Value-transparent: a miss recomputes the identical value.
-    snr_ap_cache: Vec<(u64, u32, f64)>,
-    /// Per-station `(epoch, t bits, envelope dB)` memo.
-    env_cache: Vec<(u64, u64, f64)>,
-    /// Shared memo over the analytic BER/success kernels.
-    fs_memo: FrameSuccessMemo,
     /// The omniscient oracle as exact threshold compares.
     oracle: OracleBands,
     /// Scratch: per-AP "the new transmitter is within interference range
@@ -492,10 +462,10 @@ impl SpatialMedium {
         StreamingLink::new(pair, mix_seed(pair, 0xFA7E ^ epoch), self.params.doppler_hz)
     }
 
-    /// Position of station `st` at `t`: the per-event memo over the
-    /// resumable walker (identical to `params.station_pos`).
+    /// Position of station `st` at `t` from its resumable walker
+    /// (identical to `params.station_pos`).
     fn pos_at(&mut self, st: usize, t: f64) -> Point {
-        memo_pos(&mut self.pos_cache, &mut self.walkers, &self.params, st, t)
+        self.walkers[st].position(&self.params.mobility, &self.params.bounds, t)
     }
 
     /// Position of transmitter `sender` at `t`: a walking station, or a
@@ -508,47 +478,12 @@ impl SpatialMedium {
         }
     }
 
-    /// Mean SNR between station `st` (at `t`) and AP `ap`: the ordered-
-    /// pair memo over `params.snr_between` (APs never move, so the pair
-    /// key is `(station, ap)` and the freshness key is `t`).
-    fn snr_to_ap(&mut self, st: usize, ap: usize, t: f64) -> f64 {
-        let bits = t.to_bits();
-        let (cached, cached_ap, v) = self.snr_ap_cache[st];
-        if cached == bits && cached_ap == ap as u32 {
-            return v;
-        }
-        let pos = self.pos_at(st, t);
-        let v = self.params.snr_between(pos, self.params.aps[ap]);
-        self.snr_ap_cache[st] = (bits, ap as u32, v);
-        v
-    }
-
     /// Mean SNR of transmitter `sender` heard at AP `ap` at `t`: the
-    /// memoized station→AP path for stations, the (static) AP→AP path for
+    /// station→AP path for stations, the (static) AP→AP path for
     /// `Flows`-mode AP transmitters.
-    fn snr_sender_to_ap(&mut self, sender: usize, ap: usize, t: f64) -> f64 {
-        if sender < self.params.n_stations {
-            self.snr_to_ap(sender, ap, t)
-        } else {
-            let from = self.params.aps[sender - self.params.n_stations];
-            self.params.snr_between(from, self.params.aps[ap])
-        }
-    }
-
-    /// Fading envelope of `st`'s current link at `t`, dB — memoized so
-    /// the oracle audit at transmit time and the fate draw at the
-    /// feedback window share one Jakes evaluation. Keyed by association
-    /// epoch (a handoff swaps the fading process).
-    fn env_at(&mut self, st: usize, t: f64) -> f64 {
-        let bits = t.to_bits();
-        let epoch = self.stations[st].epoch;
-        let (e, cached, v) = self.env_cache[st];
-        if e == epoch && cached == bits {
-            return v;
-        }
-        let v = self.stations[st].link.envelope_db(t);
-        self.env_cache[st] = (epoch, bits, v);
-        v
+    fn snr_to_ap(&mut self, sender: usize, ap: usize, t: f64) -> f64 {
+        let from = self.tx_pos(sender, t);
+        self.params.snr_between(from, self.params.aps[ap])
     }
 
     /// The station whose link a port serves (uplink ports are the station
@@ -565,7 +500,6 @@ impl SpatialMedium {
             sense,
             bands,
             params,
-            pos_cache,
             walkers,
             sense_candidates,
             ..
@@ -575,7 +509,7 @@ impl SpatialMedium {
         let hit = list.iter().position(|e| {
             e.sender != sender
                 && bands.audible(params, e, pos, || match e.sender.checked_sub(n) {
-                    None => memo_pos(pos_cache, walkers, params, e.sender, now),
+                    None => walkers[e.sender].position(&params.mobility, &params.bounds, now),
                     Some(ap) => params.aps[ap],
                 })
         });
@@ -1131,21 +1065,24 @@ impl Medium for SpatialMedium {
         let n = self.params.n_stations;
         let st = self.station_of_port(port);
         let ap = self.stations[st].ap;
-        // Mean SNR, envelope, and oracle all come from the per-event
-        // memos; the AP↔station path is reciprocal, so the downlink
-        // reuses the uplink's memoized values for the same instant.
-        let mut sig_snr_db = self.snr_to_ap(st, ap, now);
+        // The AP↔station path is reciprocal, so uplink and downlink share
+        // the station→AP mean SNR and the station's link envelope.
+        let st_pos = self.pos_at(st, now);
+        let mut sig_snr_db = self.params.snr_between(st_pos, self.params.aps[ap]);
         if let Some(fs) = &self.faults {
             // A noise-floor step shaves margin off every link — the
             // oracle's included, since the channel really did get worse.
             sig_snr_db -= fs.noise_delta_db;
         }
-        let env_db = self.env_at(st, now);
-        let oracle_rate = self.oracle.best_rate(sig_snr_db + env_db);
+        let snr_db = sig_snr_db + self.stations[st].link.envelope_db(now);
+        let oracle_rate = self.oracle.best_rate(snr_db);
         if matches!(self.cfg.adapter, AdapterKind::Omniscient) {
             attempt.rate_idx = oracle_rate;
         }
-        let start_pos = self.tx_pos(sender, now);
+        let start_pos = match sender.checked_sub(n) {
+            None => st_pos,
+            Some(a) => self.params.aps[a],
+        };
         let mut jammed = false;
         if let Some(j) = self
             .faults
@@ -1161,7 +1098,7 @@ impl Medium for SpatialMedium {
             let rx_pos = if port < n {
                 self.params.aps[ap]
             } else {
-                self.pos_at(st, now)
+                st_pos
             };
             let jam_db = self.params.snr_between(Point { x: j.x, y: j.y }, rx_pos) + j.power_db;
             jammed = jam_db >= 0.0 && sig_snr_db - jam_db < self.params.capture_sir_db;
@@ -1190,6 +1127,7 @@ impl Medium for SpatialMedium {
                 ap,
                 rx_station,
                 sig_snr_db,
+                snr_db,
                 start_pos,
                 payload,
                 jammed,
@@ -1271,9 +1209,7 @@ impl Medium for SpatialMedium {
             // the noise wasn't already corrupting — and beyond the
             // interference radius it provably is buried.
             let int_at_o = match o.info.rx_station {
-                None => {
-                    ap_near[o.info.ap].then(|| self.snr_sender_to_ap(tx.sender, o.info.ap, now))
-                }
+                None => ap_near[o.info.ap].then(|| self.snr_to_ap(tx.sender, o.info.ap, now)),
                 Some(st_r) => {
                     let rxp = self.pos_at(st_r, now);
                     (dist2(my_pos, rxp) <= r_int2).then(|| self.params.snr_between(my_pos, rxp))
@@ -1298,7 +1234,7 @@ impl Medium for SpatialMedium {
             // the prune radius carries the drift pad.
             if dist2(o.info.start_pos, my_rx_pos) <= r_int_drift2 {
                 let int_at_mine = match tx.info.rx_station {
-                    None => self.snr_sender_to_ap(o.sender, tx.info.ap, now),
+                    None => self.snr_to_ap(o.sender, tx.info.ap, now),
                     Some(_) => {
                         let opos = self.tx_pos(o.sender, now);
                         self.params.snr_between(opos, my_rx_pos)
@@ -1327,20 +1263,26 @@ impl Medium for SpatialMedium {
         self.sense.remove(tx.sender, tx.info.start_pos);
     }
 
-    /// Interference-free fate from the streaming channel — one coin draw
-    /// as always, with the envelope shared from the transmit-time memo
-    /// (same `t`, same link ⇒ same Jakes evaluation) and the BER/success
-    /// pair from the kernel memo.
+    /// Interference-free fate from the streaming channel: one coin draw
+    /// against the instantaneous SNR fixed at transmit start. Handoffs
+    /// wait for in-flight frames, so the link that drew the envelope is
+    /// still the station's link here.
     fn fate(&mut self, tx: &ActiveTx<SpatialTx>) -> FrameFate {
         let st = self.station_of_port(tx.port);
-        let u = self.stations[st].link.draw();
-        let env_db = self.env_at(st, tx.start);
-        fate_from_draw_memo(
-            u,
-            tx.info.sig_snr_db + env_db,
+        let link = &mut self.stations[st].link;
+        #[cfg(test)]
+        assert_eq!(
+            tx.info.snr_db.to_bits(),
+            (tx.info.sig_snr_db + link.envelope_db(tx.start)).to_bits(),
+            "port {} at t={}: the attempt's SNR is not its current link's",
+            tx.port,
+            tx.start
+        );
+        fate_from_draw(
+            link.draw(),
+            tx.info.snr_db,
             tx.rate_idx,
             tx.payload_bytes * 8,
-            &mut self.fs_memo,
         )
     }
 
@@ -1663,10 +1605,6 @@ impl SpatialSim {
             },
             interference_radius_m,
             drift_pad_m,
-            pos_cache: vec![(NO_TIME, Point { x: 0.0, y: 0.0 }); n],
-            snr_ap_cache: vec![(NO_TIME, 0, 0.0); n],
-            env_cache: vec![(0, NO_TIME, 0.0); n],
-            fs_memo: FrameSuccessMemo::new(),
             oracle: OracleBands::new(cfg.frame_bits()),
             ap_near: Vec::with_capacity(n_aps),
             faults,

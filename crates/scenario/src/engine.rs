@@ -395,23 +395,6 @@ fn finish_report(plan: &RunPlan, mut report: RunReport) -> (RunResult, Option<Te
     (result_from_report(plan, report), telemetry)
 }
 
-/// Executes one plan, optionally with the telemetry recorder attached.
-///
-/// With `telemetry: None` the recorder is never constructed and the run is
-/// bit-identical to the pre-telemetry engine.
-pub fn run_plan_with_telemetry(
-    plan: &RunPlan,
-    telemetry: Option<&RecorderConfig>,
-) -> (RunResult, Option<TelemetryReport>) {
-    run_plan_with_options(
-        plan,
-        &RunOptions {
-            telemetry: telemetry.cloned(),
-            ..RunOptions::default()
-        },
-    )
-}
-
 /// Execution options for a plan matrix, beyond the plans themselves.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
@@ -422,7 +405,10 @@ pub struct RunOptions {
     pub telemetry: Option<RecorderConfig>,
 }
 
-/// [`run_plan_with_telemetry`] with the full option set.
+/// Executes one plan under `opts` (its `threads` is unused here).
+///
+/// With `opts.telemetry: None` the recorder is never constructed and the
+/// run is bit-identical to the pre-telemetry engine.
 pub fn run_plan_with_options(
     plan: &RunPlan,
     opts: &RunOptions,
@@ -457,7 +443,7 @@ pub fn run_plan_with_options(
 
 /// Executes one plan.
 pub fn run_plan(plan: &RunPlan) -> RunResult {
-    run_plan_with_telemetry(plan, None).0
+    run_plan_with_options(plan, &RunOptions::default()).0
 }
 
 /// One structured JSONL row for a run that panicked instead of
@@ -551,25 +537,22 @@ pub fn outcomes_to_jsonl(outcomes: &[RunOutcome]) -> String {
 /// Executes every plan across `threads` workers (defaulting to the
 /// machine's parallelism), returning results in matrix order.
 pub fn run_all(plans: &[RunPlan], threads: Option<usize>) -> Vec<RunResult> {
-    run_all_with_telemetry(plans, threads, None)
-        .into_iter()
-        .map(|(r, _)| r)
-        .collect()
+    run_all_with_options(
+        plans,
+        &RunOptions {
+            threads,
+            telemetry: None,
+        },
+    )
+    .into_iter()
+    .map(|(r, _)| r)
+    .collect()
 }
 
-/// [`run_all`] with an optional telemetry recorder per run. Results (and
-/// their telemetry reports) come back in matrix order regardless of the
-/// worker count, so the concatenated metrics/trace JSONL streams are
-/// byte-identical across thread counts.
-pub fn run_all_with_telemetry(
-    plans: &[RunPlan],
-    threads: Option<usize>,
-    telemetry: Option<RecorderConfig>,
-) -> Vec<(RunResult, Option<TelemetryReport>)> {
-    run_all_with_options(plans, &RunOptions { threads, telemetry })
-}
-
-/// [`run_all_with_telemetry`] with the full option set.
+/// [`run_all`] under `opts`, with an optional telemetry recorder per run.
+/// Results (and their telemetry reports) come back in matrix order
+/// regardless of the worker count, so the concatenated metrics/trace
+/// JSONL streams are byte-identical across thread counts.
 pub fn run_all_with_options(
     plans: &[RunPlan],
     opts: &RunOptions,
@@ -923,7 +906,11 @@ mod tests {
             decisions: true,
             ..RecorderConfig::default()
         };
-        let results = run_all_with_telemetry(&expand(&s).unwrap(), Some(1), Some(telemetry));
+        let opts = RunOptions {
+            threads: Some(1),
+            telemetry: Some(telemetry),
+        };
+        let results = run_all_with_options(&expand(&s).unwrap(), &opts);
         let reports: Vec<&TelemetryReport> =
             results.iter().filter_map(|(_, t)| t.as_ref()).collect();
         assert_eq!(reports.len(), 2);

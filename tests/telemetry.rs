@@ -22,8 +22,8 @@ use softrate::net::sim::{SpatialConfig, SpatialSim};
 use softrate::net::spatial::SpatialSpec;
 use softrate::scenario::builtin;
 use softrate::scenario::engine::{
-    expand, run_all, run_all_with_telemetry, telemetry_decisions_jsonl, telemetry_metrics_jsonl,
-    telemetry_trace_jsonl, to_jsonl,
+    expand, run_all, run_all_with_options, telemetry_decisions_jsonl, telemetry_metrics_jsonl,
+    telemetry_trace_jsonl, to_jsonl, RunOptions,
 };
 use softrate::sim::config::AdapterKind;
 use softrate::telemetry::inspect::Schema;
@@ -45,7 +45,13 @@ fn run_with_recorder(
     cfg: RecorderConfig,
 ) -> (String, String, String, Vec<Option<TelemetryReport>>) {
     let plans = expand(&short(name, duration)).expect("expands");
-    let with = run_all_with_telemetry(&plans, Some(threads), Some(cfg));
+    let with = run_all_with_options(
+        &plans,
+        &RunOptions {
+            threads: Some(threads),
+            telemetry: Some(cfg),
+        },
+    );
     let results: Vec<_> = with.iter().map(|(r, _)| r.clone()).collect();
     let reports = with.iter().map(|(_, t)| t.clone()).collect();
     (
@@ -68,7 +74,13 @@ fn recorder_does_not_change_results_on_either_medium() {
             trace: true,
             ..RecorderConfig::default()
         };
-        let with = run_all_with_telemetry(&plans, Some(2), Some(cfg));
+        let with = run_all_with_options(
+            &plans,
+            &RunOptions {
+                threads: Some(2),
+                telemetry: Some(cfg),
+            },
+        );
         let on = to_jsonl(&with.iter().map(|(r, _)| r.clone()).collect::<Vec<_>>());
         assert!(!off.is_empty());
         assert_eq!(off, on, "{name}: recorder must not perturb results");
@@ -208,7 +220,13 @@ fn emitted_streams_validate_against_the_checked_in_schema() {
         ..RecorderConfig::default()
     };
     let plans = expand(&short("fast-fading", 0.5)).expect("expands");
-    let with = run_all_with_telemetry(&plans, Some(2), Some(cfg));
+    let with = run_all_with_options(
+        &plans,
+        &RunOptions {
+            threads: Some(2),
+            telemetry: Some(cfg),
+        },
+    );
     let (metrics, trace, decisions) = (
         telemetry_metrics_jsonl(&with),
         telemetry_trace_jsonl(&with),
@@ -233,7 +251,13 @@ fn decision_ledger_is_byte_identical_across_thread_counts() {
     };
     let run = |threads| {
         let plans = expand(&short("dense-enterprise", 0.5)).expect("expands");
-        let with = run_all_with_telemetry(&plans, Some(threads), Some(cfg.clone()));
+        let with = run_all_with_options(
+            &plans,
+            &RunOptions {
+                threads: Some(threads),
+                telemetry: Some(cfg.clone()),
+            },
+        );
         telemetry_decisions_jsonl(&with)
     };
     let (d1, d2, d8) = (run(1), run(2), run(8));
@@ -257,8 +281,20 @@ fn decisions_off_leaves_every_other_stream_unchanged() {
     };
     for name in ["fast-fading", "dense-enterprise"] {
         let plans = expand(&short(name, 0.5)).expect("expands");
-        let off = run_all_with_telemetry(&plans, Some(2), Some(base.clone()));
-        let on = run_all_with_telemetry(&plans, Some(2), Some(with_ledger.clone()));
+        let off = run_all_with_options(
+            &plans,
+            &RunOptions {
+                threads: Some(2),
+                telemetry: Some(base.clone()),
+            },
+        );
+        let on = run_all_with_options(
+            &plans,
+            &RunOptions {
+                threads: Some(2),
+                telemetry: Some(with_ledger.clone()),
+            },
+        );
         let results =
             |w: &[(
                 softrate::scenario::engine::RunResult,
@@ -302,7 +338,13 @@ fn every_observed_rate_change_has_a_matching_ledger_row() {
     };
     for name in ["udp-vehicular", "dense-enterprise"] {
         let plans = expand(&short(name, 0.5)).expect("expands");
-        let with = run_all_with_telemetry(&plans, Some(2), Some(cfg.clone()));
+        let with = run_all_with_options(
+            &plans,
+            &RunOptions {
+                threads: Some(2),
+                telemetry: Some(cfg.clone()),
+            },
+        );
         let mut checked = 0usize;
         for (_, report) in &with {
             let report = report.as_ref().expect("telemetry on");
