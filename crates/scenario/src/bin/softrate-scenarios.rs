@@ -14,8 +14,13 @@
 //! `run` and `sweep` both execute the *full* expanded matrix in parallel;
 //! `sweep` merely requires the spec to declare sweep axes (guarding
 //! against accidentally running a 1-point "sweep"). Results go to stdout
-//! as a summary table and, with `--out`, to a JSON-lines file whose bytes
-//! are identical across repeat runs and thread counts.
+//! as a summary table and, with `--out`, to a JSON-lines file; the
+//! telemetry streams go to `--metrics`, `--trace` and `--decisions`.
+//! Every requested file is created before the first run, and each run's
+//! rows are written through [`engine::run_matrix`]'s sink as soon as that
+//! run and every earlier one are done, so memory holds only the runs not
+//! yet written, never the whole matrix. The bytes are identical across
+//! repeat runs and thread counts.
 
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
@@ -240,83 +245,103 @@ fn cmd_run(args: &Args, require_sweep: bool) -> Result<(), String> {
             decisions: args.decisions.is_some(),
             ..RecorderConfig::default()
         });
+    let mut outputs = open_outputs(args)?;
     let started = std::time::Instant::now();
-    let outcomes = engine::run_all_checked(&plans, &engine::RunOptions { threads, telemetry });
+    // Each outcome is written to every requested file as soon as it and
+    // every earlier run are done, then dropped; only the result rows the
+    // summary table needs are kept. A panicking run is captured as a
+    // structured `kind: "error"` row (in matrix order, alongside the
+    // healthy results) and the command exits non-zero — the rest of the
+    // matrix still completes and every requested file is still written.
+    let (mut results, mut failures, mut write_error) = (Vec::new(), 0, None);
+    let opts = engine::RunOptions { threads, telemetry };
+    engine::run_matrix(&plans, &opts, |outcome| {
+        for o in &mut outputs {
+            if let Err(e) = o.file.write_all((o.render)(&outcome).as_bytes()) {
+                write_error.get_or_insert(format!("cannot write {}: {e}", o.path));
+            }
+        }
+        match outcome {
+            Ok((r, _)) => results.push(r),
+            Err(f) => {
+                eprintln!("run {} ({}) PANICKED: {}", f.run_idx, f.adapter, f.error);
+                failures += 1;
+            }
+        }
+    });
     eprintln!("completed in {:.2}s", started.elapsed().as_secs_f64());
-    // A panicking run is captured as a structured `kind: "error"` row
-    // (in matrix order, alongside the healthy results) and the command
-    // exits non-zero — the rest of the matrix still completes and every
-    // requested output file is still written.
-    let results: Vec<_> = outcomes
-        .iter()
-        .filter_map(|o| Some(o.as_ref().ok()?.0.clone()))
-        .collect();
     print!("{}", summary_table(&results));
-    let failures: Vec<_> = outcomes.iter().filter_map(|o| o.as_ref().err()).collect();
-    for f in &failures {
-        eprintln!("run {} ({}) PANICKED: {}", f.run_idx, f.adapter, f.error);
+    for mut o in outputs {
+        match o.file.flush() {
+            Ok(()) => eprintln!("[wrote {}]", o.path),
+            Err(e) => write_error = write_error.or(Some(format!("cannot write {}: {e}", o.path))),
+        }
     }
-    if let Some(out) = &args.out {
-        write_file(out, &outcomes_to_jsonl(&outcomes))?;
+    if let Some(e) = write_error {
+        return Err(e);
     }
-    write_telemetry(args, &outcomes)?;
-    if !failures.is_empty() {
+    if failures > 0 {
         return Err(format!(
-            "{} of {} runs panicked (see their `kind: \"error\"` result rows)",
-            failures.len(),
-            outcomes.len()
+            "{failures} of {} runs panicked (see their `kind: \"error\"` result rows)",
+            plans.len()
         ));
     }
     Ok(())
 }
 
-/// Writes `text` to `path`, creating parent directories as needed.
-fn write_file(path: &str, text: &str) -> Result<(), String> {
-    write_with(path, |out| out.write_all(text.as_bytes()))
+/// What an output file receives from one outcome.
+type Render = fn(&RunOutcome) -> String;
+
+/// One requested output file and what it receives from each outcome.
+struct Output {
+    path: String,
+    file: BufWriter<File>,
+    render: Render,
 }
 
-/// Writes each requested telemetry stream (`--metrics`, `--trace`,
-/// `--decisions`) of the completed runs, in matrix order. The streams
-/// are rendered run by run straight into the file, so only one run's
-/// rendering is in memory at a time; the bytes equal the joined
-/// `telemetry_*_jsonl` streams.
-fn write_telemetry(args: &Args, outcomes: &[RunOutcome]) -> Result<(), String> {
-    let streams = [
-        (
-            &args.metrics,
-            TelemetryReport::metrics_jsonl as fn(&TelemetryReport) -> String,
-        ),
-        (&args.trace, TelemetryReport::trace_jsonl),
-        (&args.decisions, TelemetryReport::decisions_jsonl),
+/// Creates every requested output file (`--out`, `--metrics`, `--trace`,
+/// `--decisions`, with their parent directories) before anything runs,
+/// so a bad path fails at once. If one cannot be created, the ones
+/// already created are removed again.
+fn open_outputs(args: &Args) -> Result<Vec<Output>, String> {
+    let requested: [(&Option<String>, Render); 4] = [
+        (&args.out, |o| outcomes_to_jsonl(std::slice::from_ref(o))),
+        (&args.metrics, |o| stream(o, TelemetryReport::metrics_jsonl)),
+        (&args.trace, |o| stream(o, TelemetryReport::trace_jsonl)),
+        (&args.decisions, |o| {
+            stream(o, TelemetryReport::decisions_jsonl)
+        }),
     ];
-    for (path, stream) in streams {
+    let mut outputs: Vec<Output> = Vec::new();
+    for (path, render) in requested {
         let Some(path) = path else { continue };
-        write_with(path, |out| {
-            for report in outcomes.iter().filter_map(|o| o.as_ref().ok()?.1.as_ref()) {
-                out.write_all(stream(report).as_bytes())?;
+        if let Some(parent) = std::path::Path::new(path).parent() {
+            let _ = std::fs::create_dir_all(parent);
+        }
+        match File::create(path) {
+            Ok(file) => outputs.push(Output {
+                path: path.clone(),
+                file: BufWriter::new(file),
+                render,
+            }),
+            Err(e) => {
+                for o in &outputs {
+                    let _ = std::fs::remove_file(&o.path);
+                }
+                return Err(format!("cannot write {path}: {e}"));
             }
-            Ok(())
-        })?;
+        }
     }
-    Ok(())
+    Ok(outputs)
 }
 
-/// Creates `path` (and its parent directories), hands `write` a buffered
-/// writer on it and flushes.
-fn write_with(
-    path: &str,
-    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
-) -> Result<(), String> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let mut out =
-        BufWriter::new(File::create(path).map_err(|e| format!("cannot write {path}: {e}"))?);
-    write(&mut out)
-        .and_then(|()| out.flush())
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
-    eprintln!("[wrote {path}]");
-    Ok(())
+/// One telemetry stream of a run; empty if it failed or recorded nothing.
+fn stream(outcome: &RunOutcome, render: fn(&TelemetryReport) -> String) -> String {
+    outcome
+        .as_ref()
+        .ok()
+        .and_then(|(_, t)| t.as_ref())
+        .map_or_else(String::new, render)
 }
 
 fn main() -> ExitCode {
@@ -394,6 +419,17 @@ doppler_hz = 50.0
 kind = "Tcp"
 "#;
 
+    /// A fresh scratch directory for one test's files.
+    fn scratch_dir(test: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("softrate-scenarios-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// `run` writes each outcome's result row and streams as it arrives;
+    /// the files equal the matrix's outcomes joined in plan order.
     #[test]
     fn telemetry_files_equal_the_joined_streams() {
         let plans = expand(&engine::parse_spec(TWO_RUNS).unwrap()).unwrap();
@@ -408,14 +444,22 @@ kind = "Tcp"
             telemetry: Some(telemetry),
         };
         let outcomes = engine::run_all_checked(&plans, &opts);
-        let completed: Vec<_> = outcomes.iter().map(|o| o.clone().unwrap()).collect();
-        let dir = std::env::temp_dir().join(format!(
-            "softrate-scenarios-telemetry-{}",
-            std::process::id()
-        ));
+        let joined = |render: fn(&TelemetryReport) -> String| -> String {
+            outcomes
+                .iter()
+                .map(|o| render(o.as_ref().unwrap().1.as_ref().unwrap()))
+                .collect()
+        };
+        let dir = scratch_dir("telemetry");
         let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        std::fs::write(file("spec.toml"), TWO_RUNS).unwrap();
         let args = parse(&[
-            "two-runs",
+            "--file",
+            &file("spec.toml"),
+            "--threads",
+            "2",
+            "--out",
+            &file("r.jsonl"),
             "--metrics",
             &file("m.jsonl"),
             "--trace",
@@ -424,11 +468,12 @@ kind = "Tcp"
             &file("d.jsonl"),
         ])
         .unwrap();
-        write_telemetry(&args, &outcomes).unwrap();
+        cmd_run(&args, false).unwrap();
         for (name, want) in [
-            ("m.jsonl", engine::telemetry_metrics_jsonl(&completed)),
-            ("t.jsonl", engine::telemetry_trace_jsonl(&completed)),
-            ("d.jsonl", engine::telemetry_decisions_jsonl(&completed)),
+            ("r.jsonl", outcomes_to_jsonl(&outcomes)),
+            ("m.jsonl", joined(TelemetryReport::metrics_jsonl)),
+            ("t.jsonl", joined(TelemetryReport::trace_jsonl)),
+            ("d.jsonl", joined(TelemetryReport::decisions_jsonl)),
         ] {
             assert!(!want.is_empty(), "{name} is empty");
             assert_eq!(
@@ -436,6 +481,41 @@ kind = "Tcp"
                 want.as_bytes(),
                 "{name}"
             );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every output file is created before the first run: a path that
+    /// cannot be created fails `run` at once, and leaves none of the
+    /// other requested files behind.
+    #[test]
+    fn a_bad_output_path_fails_before_anything_runs() {
+        let dir = scratch_dir("bad-output");
+        let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        std::fs::write(file("blocker"), "a regular file").unwrap();
+        let bad = file("blocker/sub/out.jsonl");
+        for bad_flag in ["--out", "--decisions"] {
+            let mut argv = vec!["static-office", "--only", "0", "--duration", "0.05"];
+            let paths = [
+                ("--out", file("r.jsonl")),
+                ("--metrics", file("m.jsonl")),
+                ("--trace", file("t.jsonl")),
+                ("--decisions", file("d.jsonl")),
+            ];
+            for (flag, path) in &paths {
+                argv.extend([*flag, if *flag == bad_flag { &bad } else { path }]);
+            }
+            let err = cmd_run(&parse(&argv).unwrap(), false).unwrap_err();
+            assert!(
+                err.starts_with(&format!("cannot write {bad}: ")),
+                "{bad_flag}: {err}"
+            );
+            for (flag, path) in &paths {
+                assert!(
+                    !std::path::Path::new(path).exists(),
+                    "bad {bad_flag}: {flag} {path} was created"
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -2,11 +2,14 @@
 //!
 //! [`expand`] turns one scenario document into an ordered list of
 //! [`RunPlan`]s: the cartesian product of every sweep axis (outermost axis
-//! first) times the adapter list. [`run_all`] executes plans across a
-//! thread pool with deterministic per-run seeding; because plan order,
-//! per-run seeds, and result ordering are all independent of the worker
-//! count, the JSON-lines output is **byte-identical across runs and thread
-//! counts** — the property the determinism tests pin down.
+//! first) times the adapter list. [`run_matrix`] executes plans across a
+//! thread pool with deterministic per-run seeding and hands each outcome
+//! to a sink in plan order as soon as it and every earlier run are done;
+//! because plan order, per-run seeds, and delivery order are all
+//! independent of the worker count, the JSON-lines output is
+//! **byte-identical across runs and thread counts** — the property the
+//! determinism tests pin down. [`run_all_checked`] and [`run_spec`]
+//! collect through it.
 
 use std::sync::Arc;
 
@@ -19,7 +22,7 @@ use softrate_sim::mac::RunReport;
 use softrate_sim::netsim::NetSim;
 use softrate_sim::transport::TransportConfig;
 use softrate_telemetry::{RecorderConfig, TelemetryReport};
-use softrate_trace::par::par_map_threads;
+use softrate_trace::par::{available_threads, par_map_into};
 use softrate_trace::schema::LinkTrace;
 use softrate_trace::snr_training::{observations_from_trace, train_snr_table};
 
@@ -409,7 +412,7 @@ pub struct RunOptions {
 ///
 /// With `opts.telemetry: None` the recorder is never constructed and the
 /// run is bit-identical to the pre-telemetry engine.
-pub fn run_plan_with_options(
+fn run_plan_with_options(
     plan: &RunPlan,
     opts: &RunOptions,
 ) -> (RunResult, Option<TelemetryReport>) {
@@ -439,11 +442,6 @@ pub fn run_plan_with_options(
 
     let report = NetSim::new(cfg, traces).run();
     finish_report(plan, report)
-}
-
-/// Executes one plan.
-pub fn run_plan(plan: &RunPlan) -> RunResult {
-    run_plan_with_options(plan, &RunOptions::default()).0
 }
 
 /// One structured JSONL row for a run that panicked instead of
@@ -506,17 +504,28 @@ pub fn run_plan_checked(plan: &RunPlan, opts: &RunOptions) -> RunOutcome {
     })
 }
 
-/// Crash-proof [`run_all_with_options`]: every plan runs to completion
-/// or to a captured panic; one bad run never costs the rest of the
-/// matrix. Outcomes come back in matrix order (byte-identical across
-/// thread counts, like everything else here). Callers decide the exit
-/// status — `softrate-scenarios run` exits non-zero if any row failed.
+/// Runs every plan on `opts.threads` workers (default: the machine's
+/// parallelism) and calls `sink`, on the calling thread, with each plan's
+/// [`run_plan_checked`] outcome in matrix order as soon as that run and
+/// every earlier one are done. One panicking run never costs the rest of
+/// the matrix, and what the sink writes is byte-identical across thread
+/// counts.
+pub fn run_matrix(plans: &[RunPlan], opts: &RunOptions, sink: impl FnMut(RunOutcome)) {
+    par_map_into(
+        opts.threads.unwrap_or_else(available_threads),
+        plans,
+        |plan| run_plan_checked(plan, opts),
+        sink,
+    );
+}
+
+/// [`run_matrix`], collected: every outcome, in matrix order. Callers
+/// decide the exit status — a failed run is a [`FailedRunRow`], not an
+/// error of the whole matrix.
 pub fn run_all_checked(plans: &[RunPlan], opts: &RunOptions) -> Vec<RunOutcome> {
-    par_map_threads(
-        opts.threads.unwrap_or_else(default_threads),
-        plans.to_vec(),
-        |plan| run_plan_checked(&plan, opts),
-    )
+    let mut outcomes = Vec::with_capacity(plans.len());
+    run_matrix(plans, opts, |o| outcomes.push(o));
+    outcomes
 }
 
 /// Serializes checked outcomes as JSON-lines in matrix order: result
@@ -534,96 +543,19 @@ pub fn outcomes_to_jsonl(outcomes: &[RunOutcome]) -> String {
     out
 }
 
-/// Executes every plan across `threads` workers (defaulting to the
-/// machine's parallelism), returning results in matrix order.
-pub fn run_all(plans: &[RunPlan], threads: Option<usize>) -> Vec<RunResult> {
-    run_all_with_options(
-        plans,
-        &RunOptions {
-            threads,
-            telemetry: None,
-        },
-    )
-    .into_iter()
-    .map(|(r, _)| r)
-    .collect()
-}
-
-/// [`run_all`] under `opts`, with an optional telemetry recorder per run.
-/// Results (and their telemetry reports) come back in matrix order
-/// regardless of the worker count, so the concatenated metrics/trace
-/// JSONL streams are byte-identical across thread counts.
-pub fn run_all_with_options(
-    plans: &[RunPlan],
-    opts: &RunOptions,
-) -> Vec<(RunResult, Option<TelemetryReport>)> {
-    par_map_threads(
-        opts.threads.unwrap_or_else(default_threads),
-        plans.to_vec(),
-        |plan| run_plan_with_options(&plan, opts),
-    )
-}
-
-/// The host's available parallelism (the `threads: None` default).
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
-
-/// Concatenates the per-run metrics JSONL streams in matrix order.
-pub fn telemetry_metrics_jsonl(results: &[(RunResult, Option<TelemetryReport>)]) -> String {
-    join_streams(results, TelemetryReport::metrics_jsonl)
-}
-
-/// Concatenates the per-run frame-trace JSONL streams in matrix order.
-pub fn telemetry_trace_jsonl(results: &[(RunResult, Option<TelemetryReport>)]) -> String {
-    join_streams(results, TelemetryReport::trace_jsonl)
-}
-
-/// Concatenates the per-run rate-decision ledger JSONL streams in matrix
-/// order.
-pub fn telemetry_decisions_jsonl(results: &[(RunResult, Option<TelemetryReport>)]) -> String {
-    join_streams(results, TelemetryReport::decisions_jsonl)
-}
-
-/// Renders one stream of every run that carries telemetry and joins the
-/// parts in matrix order. `concat` sums the part lengths first, so the
-/// joined buffer is allocated once at its exact size.
-fn join_streams(
-    results: &[(RunResult, Option<TelemetryReport>)],
-    stream: fn(&TelemetryReport) -> String,
-) -> String {
-    let parts: Vec<String> = results
-        .iter()
-        .filter_map(|(_, t)| t.as_ref())
-        .map(stream)
-        .collect();
-    parts.concat()
-}
-
-/// Convenience: expand + run in one call.
+/// Convenience: expand and run a spec without telemetry. Panics with the
+/// [`FailedRunRow`] message if a run panics.
 pub fn run_spec(spec: &ScenarioSpec, threads: Option<usize>) -> Result<Vec<RunResult>, SpecError> {
-    Ok(run_all(&expand(spec)?, threads))
-}
-
-/// Serializes results as JSON-lines (one run per line, trailing newline).
-pub fn to_jsonl(results: &[RunResult]) -> String {
-    let mut out = String::new();
-    for r in results {
-        serde_json::append(&mut out, r);
-        out.push('\n');
-    }
-    out.shrink_to_fit();
-    out
-}
-
-/// Parses a JSON-lines results file.
-pub fn from_jsonl(text: &str) -> Result<Vec<RunResult>, SpecError> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| serde_json::from_str(l).map_err(|e| SpecError(e.to_string())))
-        .collect()
+    let opts = RunOptions {
+        threads,
+        telemetry: None,
+    };
+    let outcomes = run_all_checked(&expand(spec)?, &opts);
+    let result = |o: RunOutcome| {
+        o.unwrap_or_else(|f| panic!("run {}: {}", f.run_idx, f.error))
+            .0
+    };
+    Ok(outcomes.into_iter().map(result).collect())
 }
 
 /// Renders a fixed-width summary table of a result set.
@@ -772,23 +704,55 @@ mod tests {
         );
     }
 
+    /// Through `run_matrix` with every stream on, at 1, 2 and 8 threads:
+    /// the sink sees run indices 0..n in order, and the results and all
+    /// three telemetry streams it writes are byte-identical.
     #[test]
     fn results_are_deterministic_across_thread_counts() {
         let mut s = sweep_spec();
-        // Shrink: 2 snrs x 1 adapter for speed.
+        // Shrink: 3 snrs x 1 adapter for speed.
         s.adapters = Some(vec![AdapterSpec::SoftRate]);
         s.sweep = Some(Sweep(vec![SweepAxis {
             param: "channel.snr_db".into(),
-            values: vec![Value::Float(12.0), Value::Float(20.0)],
+            values: vec![Value::Float(12.0), Value::Float(16.0), Value::Float(20.0)],
         }]));
         let plans = expand(&s).unwrap();
-        let a = to_jsonl(&run_all(&plans, Some(1)));
-        let b = to_jsonl(&run_all(&plans, Some(4)));
-        let c = to_jsonl(&run_all(&plans, Some(4)));
-        assert_eq!(a, b, "thread count must not change results");
-        assert_eq!(b, c, "repeat runs must be byte-identical");
-        let parsed = from_jsonl(&a).unwrap();
-        assert_eq!(parsed.len(), 2);
+        let opts = |threads| RunOptions {
+            threads: Some(threads),
+            telemetry: Some(RecorderConfig {
+                trace: true,
+                decisions: true,
+                ..RecorderConfig::default()
+            }),
+        };
+        let run = |threads| {
+            let (mut order, mut streams) = (Vec::new(), [(); 4].map(|()| String::new()));
+            run_matrix(&plans, &opts(threads), |o| {
+                let (r, t) = o.expect("run completes");
+                order.push(r.run_idx);
+                serde_json::append(&mut streams[0], &r);
+                streams[0].push('\n');
+                let t = t.expect("telemetry on");
+                streams[1] += &t.metrics_jsonl();
+                streams[2] += &t.trace_jsonl();
+                streams[3] += &t.decisions_jsonl();
+            });
+            assert_eq!(
+                order,
+                (0..plans.len()).collect::<Vec<_>>(),
+                "threads {threads}"
+            );
+            streams
+        };
+        let a = run(1);
+        assert!(a.iter().all(|s| !s.is_empty()));
+        assert_eq!(a, run(2), "thread count must not change results");
+        assert_eq!(a, run(8), "thread count must not change results");
+        let parsed: Vec<RunResult> = a[0]
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!(parsed.len(), 3);
         assert!(parsed.iter().all(|r| r.goodput_bps > 0.0));
     }
 
@@ -882,58 +846,16 @@ mod tests {
         let mut s = sweep_spec();
         s.adapters = Some(vec![AdapterSpec::SoftRate]);
         s.sweep = None;
-        let results = run_spec(&s, Some(1)).unwrap();
-        let text = to_jsonl(&results);
-        let back = from_jsonl(&text).unwrap();
+        let outcomes = run_all_checked(&expand(&s).unwrap(), &RunOptions::default());
+        let results: Vec<RunResult> = outcomes.iter().map(|o| o.clone().unwrap().0).collect();
+        let text = outcomes_to_jsonl(&outcomes);
+        let back: Vec<RunResult> = text
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
         assert_eq!(back.len(), results.len());
         assert_eq!(back[0].adapter, results[0].adapter);
         assert_eq!(back[0].goodput_bps, results[0].goodput_bps);
         assert!(!summary_table(&results).is_empty());
-    }
-
-    /// The joined telemetry streams equal the plain concatenation of the
-    /// per-run streams, in matrix order, and come back at their exact size.
-    #[test]
-    fn telemetry_streams_join_at_exact_size() {
-        let mut s = sweep_spec();
-        s.adapters = Some(vec![AdapterSpec::SoftRate]);
-        s.sweep = Some(Sweep(vec![SweepAxis {
-            param: "channel.snr_db".into(),
-            values: vec![Value::Float(12.0), Value::Float(20.0)],
-        }]));
-        let telemetry = RecorderConfig {
-            trace: true,
-            decisions: true,
-            ..RecorderConfig::default()
-        };
-        let opts = RunOptions {
-            threads: Some(1),
-            telemetry: Some(telemetry),
-        };
-        let results = run_all_with_options(&expand(&s).unwrap(), &opts);
-        let reports: Vec<&TelemetryReport> =
-            results.iter().filter_map(|(_, t)| t.as_ref()).collect();
-        assert_eq!(reports.len(), 2);
-        let naive = |stream: fn(&TelemetryReport) -> String| -> String {
-            reports.iter().map(|r| stream(r)).collect()
-        };
-        for (stream, want) in [
-            (
-                telemetry_metrics_jsonl(&results),
-                naive(TelemetryReport::metrics_jsonl),
-            ),
-            (
-                telemetry_trace_jsonl(&results),
-                naive(TelemetryReport::trace_jsonl),
-            ),
-            (
-                telemetry_decisions_jsonl(&results),
-                naive(TelemetryReport::decisions_jsonl),
-            ),
-        ] {
-            assert!(!want.is_empty());
-            assert_eq!(stream, want);
-            assert_eq!(stream.capacity(), stream.len());
-        }
     }
 }

@@ -34,9 +34,9 @@
 //! * [`channelgen`] — spec → per-link [`softrate_trace::schema::LinkTrace`]
 //!   (closed-form analytic model over real Jakes fading, or the full PHY
 //!   with on-disk caching).
-//! * [`engine`] — sweep expansion, the parallel runner, and the JSON-lines
-//!   results sink. Output is byte-identical across repeat runs and thread
-//!   counts.
+//! * [`engine`] — sweep expansion and [`engine::run_matrix`], which runs a
+//!   matrix in parallel and hands each outcome to a sink in plan order.
+//!   Output is byte-identical across repeat runs and thread counts.
 //! * [`builtin`] — a curated library of ready-to-run scenarios
 //!   (`softrate-scenarios list`).
 //!
@@ -55,7 +55,7 @@ pub mod toml;
 /// Convenient glob-import of the most common items.
 pub mod prelude {
     pub use crate::builtin;
-    pub use crate::engine::{expand, run_all, run_spec, to_jsonl, RunPlan, RunResult};
+    pub use crate::engine::{expand, run_matrix, run_spec, RunPlan, RunResult};
     pub use crate::spec::{
         AdapterSpec, ChannelModel, ChannelSpec, Direction, ScenarioSpec, Sweep, SweepAxis,
         TopologySpec, TrafficModel, TrafficSpec,

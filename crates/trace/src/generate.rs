@@ -98,7 +98,9 @@ pub fn walking_trace(run: usize, recipe: &WalkingRecipe) -> LinkTrace {
 
 /// Generates all ten walking runs in parallel.
 pub fn walking_traces(n_runs: usize, recipe: &WalkingRecipe) -> Vec<LinkTrace> {
-    par_map((0..n_runs).collect(), |run| walking_trace(run, recipe))
+    par_map(&(0..n_runs).collect::<Vec<_>>(), |&run| {
+        walking_trace(run, recipe)
+    })
 }
 
 /// Generates a fading-simulator trace at one Doppler spread (Table 4
@@ -192,7 +194,7 @@ pub fn static_ber_samples(recipe: &StaticRecipe) -> Vec<BerSample> {
     let frames = recipe.frames_per_point;
     let payload = recipe.payload_len;
     let noise = recipe.noise_db;
-    let batches = par_map(jobs, move |(pair, power)| {
+    let batches = par_map(&jobs, move |&(pair, power)| {
         ber_sample_batch(
             LONG_RANGE,
             FadingSpec::None,
@@ -216,8 +218,7 @@ pub fn mobile_ber_samples(
     payload_len: usize,
     noise_db: f64,
 ) -> Vec<BerSample> {
-    let jobs: Vec<f64> = tx_powers_db.to_vec();
-    let batches = par_map(jobs, move |power| {
+    let batches = par_map(tx_powers_db, move |&power| {
         ber_sample_batch(
             SIMULATION,
             FadingSpec::Flat { doppler_hz },
@@ -320,7 +321,7 @@ pub fn interference_detection_samples(recipe: &InterferenceRecipe) -> Vec<Detect
     let payload = recipe.payload_len;
     let int_payload = recipe.interferer_payload_len;
     let snr = recipe.snr_db;
-    let batches = par_map(jobs, move |(rel_power, rate_idx)| {
+    let batches = par_map(&jobs, move |&(rel_power, rate_idx)| {
         interference_batch(rel_power, rate_idx, frames, payload, int_payload, snr)
     });
     batches.into_iter().flatten().collect()

@@ -16,7 +16,7 @@
 //! * [`snr_training`] — building trained/untrained SNR tables from traces
 //!   (§6.1).
 //! * [`cache`] — JSON load-or-generate caching under `results/`.
-//! * [`par`] — a tiny thread-pool `par_map` for batch generation.
+//! * [`par`] — a tiny ordered thread-pool map for batch jobs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

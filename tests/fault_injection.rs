@@ -20,16 +20,13 @@
 use proptest::prelude::*;
 
 use softrate::scenario::builtin;
-use softrate::scenario::engine::{
-    expand, run_all_with_options, telemetry_decisions_jsonl, telemetry_metrics_jsonl,
-    telemetry_trace_jsonl, to_jsonl, RunOptions,
-};
+use softrate::scenario::engine::{expand, outcomes_to_jsonl, run_all_checked, RunOptions};
 use softrate::scenario::spec::{
     AdapterSpec, ApOutageSpec, ChurnSpec, FaultsSpec, HintFaultsSpec, JammerSpec, NoiseStepSpec,
     ScenarioSpec,
 };
 use softrate::telemetry::inspect::{resilience, summarize_with, Schema};
-use softrate::telemetry::RecorderConfig;
+use softrate::telemetry::{RecorderConfig, TelemetryReport};
 
 /// The all-streams-on recorder every test here uses.
 fn full_recorder() -> RecorderConfig {
@@ -44,19 +41,23 @@ fn full_recorder() -> RecorderConfig {
 /// `(results, metrics, trace, decisions)`.
 fn streams(spec: &ScenarioSpec, threads: usize) -> (String, String, String, String) {
     let plans = expand(spec).expect("spec expands");
-    let with = run_all_with_options(
+    let with = run_all_checked(
         &plans,
         &RunOptions {
             threads: Some(threads),
             telemetry: Some(full_recorder()),
         },
     );
-    let results: Vec<_> = with.iter().map(|(r, _)| r.clone()).collect();
+    let joined = |stream: fn(&TelemetryReport) -> String| -> String {
+        with.iter()
+            .map(|o| stream(o.as_ref().expect("run completes").1.as_ref().unwrap()))
+            .collect()
+    };
     (
-        to_jsonl(&results),
-        telemetry_metrics_jsonl(&with),
-        telemetry_trace_jsonl(&with),
-        telemetry_decisions_jsonl(&with),
+        outcomes_to_jsonl(&with),
+        joined(TelemetryReport::metrics_jsonl),
+        joined(TelemetryReport::trace_jsonl),
+        joined(TelemetryReport::decisions_jsonl),
     )
 }
 

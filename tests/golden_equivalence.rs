@@ -11,13 +11,17 @@
 //! feedback semantics shows up here as a byte diff.
 
 use softrate::scenario::builtin;
-use softrate::scenario::engine::{expand, run_all, to_jsonl};
+use softrate::scenario::engine::{expand, outcomes_to_jsonl, run_all_checked, RunOptions};
 
 fn builtin_jsonl(name: &str, duration: f64, threads: usize) -> String {
     let mut spec = builtin::get(name).expect("builtin exists");
     spec.duration = duration;
     let plans = expand(&spec).expect("expands");
-    to_jsonl(&run_all(&plans, Some(threads)))
+    let opts = RunOptions {
+        threads: Some(threads),
+        telemetry: None,
+    };
+    outcomes_to_jsonl(&run_all_checked(&plans, &opts))
 }
 
 #[test]

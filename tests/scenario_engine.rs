@@ -3,8 +3,9 @@
 //! determinism guarantee on the JSON-lines sink.
 
 use softrate::scenario::builtin;
-use softrate::scenario::engine::{expand, run_all, run_spec, to_jsonl};
+use softrate::scenario::engine::{expand, run_matrix, run_spec, RunOptions, RunPlan};
 use softrate::scenario::spec::{AdapterSpec, ScenarioSpec};
+use softrate::telemetry::RecorderConfig;
 
 /// A fast 2-axis sweep spec (analytic channel, sub-second runs).
 fn small_sweep() -> ScenarioSpec {
@@ -52,15 +53,50 @@ fn sweep_expansion_cardinality() {
     assert!(plans.iter().all(|p| p.params.len() == 2));
 }
 
+/// Runs `plans` through `run_matrix` on `threads` workers with every
+/// telemetry stream on. Checks that the sink sees run indices 0..n in
+/// order and returns what it wrote: `[results, metrics, trace,
+/// decisions]`, each joined in matrix order.
+fn streamed(plans: &[RunPlan], threads: usize) -> [String; 4] {
+    let opts = RunOptions {
+        threads: Some(threads),
+        telemetry: Some(RecorderConfig {
+            trace: true,
+            decisions: true,
+            ..RecorderConfig::default()
+        }),
+    };
+    let (mut order, mut streams) = (Vec::new(), [(); 4].map(|()| String::new()));
+    run_matrix(plans, &opts, |outcome| {
+        let (result, report) = outcome.expect("run completes");
+        order.push(result.run_idx);
+        streams[0] += &serde_json::to_string(&result).unwrap();
+        streams[0].push('\n');
+        let report = report.expect("telemetry on");
+        streams[1] += &report.metrics_jsonl();
+        streams[2] += &report.trace_jsonl();
+        streams[3] += &report.decisions_jsonl();
+    });
+    assert_eq!(
+        order,
+        (0..plans.len()).collect::<Vec<_>>(),
+        "threads {threads}: the sink sees the matrix in order"
+    );
+    streams
+}
+
 #[test]
 fn jsonl_is_deterministic_across_runs_and_thread_counts() {
     let plans = expand(&small_sweep()).unwrap();
-    let first = to_jsonl(&run_all(&plans, Some(1)));
-    let again = to_jsonl(&run_all(&plans, Some(1)));
-    let parallel = to_jsonl(&run_all(&plans, Some(8)));
+    let first = streamed(&plans, 1);
+    let again = streamed(&plans, 1);
+    let two = streamed(&plans, 2);
+    let eight = streamed(&plans, 8);
+    assert!(first.iter().all(|s| !s.is_empty()));
     assert_eq!(first, again, "repeat runs must be byte-identical");
-    assert_eq!(first, parallel, "thread count must not leak into results");
-    assert_eq!(first.lines().count(), 12);
+    assert_eq!(first, two, "thread count must not leak into the streams");
+    assert_eq!(first, eight, "thread count must not leak into the streams");
+    assert_eq!(first[0].lines().count(), 12);
 }
 
 #[test]

@@ -6,8 +6,19 @@ use softrate::net::mobility::MobilitySpec;
 use softrate::net::sim::{SpatialConfig, SpatialSim};
 use softrate::net::spatial::{HandoffPolicy, RoamingSpec, SpatialSpec};
 use softrate::scenario::builtin;
-use softrate::scenario::engine::{expand, run_all, to_jsonl};
+use softrate::scenario::engine::{
+    expand, outcomes_to_jsonl, run_all_checked, run_spec, RunOptions, RunPlan,
+};
 use softrate::sim::config::AdapterKind;
+
+/// The results JSONL of `plans` run on `threads` workers.
+fn results_jsonl(plans: &[RunPlan], threads: usize) -> String {
+    let opts = RunOptions {
+        threads: Some(threads),
+        telemetry: None,
+    };
+    outcomes_to_jsonl(&run_all_checked(plans, &opts))
+}
 
 /// The acceptance-scale scenario: >= 100 stations, >= 3 APs, streaming
 /// channels only (the spatial path never materializes a `LinkTrace`).
@@ -26,9 +37,9 @@ fn dense() -> softrate::scenario::spec::ScenarioSpec {
 #[test]
 fn dense_enterprise_jsonl_is_byte_identical_across_threads_and_repeats() {
     let plans = expand(&dense()).expect("expands");
-    let a = to_jsonl(&run_all(&plans, Some(1)));
-    let b = to_jsonl(&run_all(&plans, Some(4)));
-    let c = to_jsonl(&run_all(&plans, Some(4)));
+    let a = results_jsonl(&plans, 1);
+    let b = results_jsonl(&plans, 4);
+    let c = results_jsonl(&plans, 4);
     assert!(!a.is_empty());
     assert_eq!(a, b, "thread count must not change spatial results");
     assert_eq!(b, c, "repeat runs must be byte-identical");
@@ -36,7 +47,7 @@ fn dense_enterprise_jsonl_is_byte_identical_across_threads_and_repeats() {
 
 #[test]
 fn dense_enterprise_moves_data_at_scale() {
-    let results = run_all(&expand(&dense()).unwrap(), None);
+    let results = run_spec(&dense(), None).unwrap();
     for r in &results {
         assert_eq!(r.per_flow_goodput_bps.len(), 120, "one entry per station");
         assert!(
@@ -53,7 +64,7 @@ fn dense_enterprise_moves_data_at_scale() {
 fn roaming_walkabout_reports_handoffs_through_the_engine() {
     let mut spec = builtin::get("roaming-walkabout").expect("builtin exists");
     spec.duration = 6.0;
-    let results = run_all(&expand(&spec).unwrap(), None);
+    let results = run_spec(&spec, None).unwrap();
     assert_eq!(results.len(), 4, "2 adapters x 2 handoff policies");
     let total: u64 = results.iter().map(|r| r.handoffs).sum();
     assert!(total > 0, "walking stations must hand off somewhere");
@@ -144,9 +155,9 @@ fn dense_enterprise_tcp_jsonl_is_byte_identical_across_threads() {
     let mut spec = builtin::get("dense-enterprise-tcp").expect("builtin exists");
     spec.duration = 1.0;
     let plans = expand(&spec).expect("expands");
-    let a = to_jsonl(&run_all(&plans, Some(1)));
-    let b = to_jsonl(&run_all(&plans, Some(4)));
-    let c = to_jsonl(&run_all(&plans, Some(4)));
+    let a = results_jsonl(&plans, 1);
+    let b = results_jsonl(&plans, 4);
+    let c = results_jsonl(&plans, 4);
     assert!(!a.is_empty());
     assert_eq!(a, b, "thread count must not change spatial-TCP results");
     assert_eq!(b, c, "repeat runs must be byte-identical");
@@ -160,7 +171,7 @@ fn dense_enterprise_tcp_jsonl_is_byte_identical_across_threads() {
 fn roaming_tcp_download_delivers_across_handoffs_under_both_policies() {
     let mut spec = builtin::get("roaming-tcp-download").expect("builtin exists");
     spec.duration = 6.0;
-    let results = run_all(&expand(&spec).unwrap(), None);
+    let results = run_spec(&spec, None).unwrap();
     assert_eq!(results.len(), 2, "one run per handoff policy");
     for r in &results {
         let policy: String = r
@@ -193,7 +204,7 @@ fn roaming_tcp_download_delivers_across_handoffs_under_both_policies() {
 fn bursty_onoff_cell_edge_is_source_limited() {
     let mut spec = builtin::get("bursty-onoff-cell-edge").expect("builtin exists");
     spec.duration = 3.0;
-    let results = run_all(&expand(&spec).unwrap(), None);
+    let results = run_spec(&spec, None).unwrap();
     assert!(!results.is_empty());
     let n = spec.topology.spatial.as_ref().unwrap().n_stations as f64;
     let offered = n * 100.0 * 1400.0 * 8.0; // per-station mean offered bits/s
@@ -237,7 +248,7 @@ kind = "UdpBulk"
 "#,
     )
     .expect("spec parses");
-    let results = run_all(&expand(&spec).expect("expands"), Some(1));
+    let results = run_spec(&spec, Some(1)).expect("expands");
     assert_eq!(results.len(), 1);
     assert!(results[0].frames_sent > 0);
 }

@@ -22,8 +22,7 @@ use softrate::net::sim::{SpatialConfig, SpatialSim};
 use softrate::net::spatial::SpatialSpec;
 use softrate::scenario::builtin;
 use softrate::scenario::engine::{
-    expand, run_all, run_all_with_options, telemetry_decisions_jsonl, telemetry_metrics_jsonl,
-    telemetry_trace_jsonl, to_jsonl, RunOptions,
+    expand, outcomes_to_jsonl, run_all_checked, RunOptions, RunOutcome, RunPlan,
 };
 use softrate::sim::config::AdapterKind;
 use softrate::telemetry::inspect::Schema;
@@ -36,6 +35,34 @@ fn short(name: &str, duration: f64) -> softrate::scenario::spec::ScenarioSpec {
     spec
 }
 
+/// Runs `plans` on `threads` workers with the given recorder; every run
+/// must complete.
+fn run_checked(
+    plans: &[RunPlan],
+    threads: usize,
+    telemetry: Option<RecorderConfig>,
+) -> Vec<RunOutcome> {
+    let outcomes = run_all_checked(
+        plans,
+        &RunOptions {
+            threads: Some(threads),
+            telemetry,
+        },
+    );
+    assert!(outcomes.iter().all(Result::is_ok), "every run completes");
+    outcomes
+}
+
+/// The report of a completed run, if it carries one.
+fn report(outcome: &RunOutcome) -> Option<&TelemetryReport> {
+    outcome.as_ref().ok()?.1.as_ref()
+}
+
+/// One telemetry stream of every run, joined in matrix order.
+fn joined(outcomes: &[RunOutcome], stream: fn(&TelemetryReport) -> String) -> String {
+    outcomes.iter().filter_map(report).map(stream).collect()
+}
+
 /// Runs a builtin with the recorder on and returns `(results_jsonl,
 /// metrics_jsonl, trace_jsonl, reports)`.
 fn run_with_recorder(
@@ -45,19 +72,12 @@ fn run_with_recorder(
     cfg: RecorderConfig,
 ) -> (String, String, String, Vec<Option<TelemetryReport>>) {
     let plans = expand(&short(name, duration)).expect("expands");
-    let with = run_all_with_options(
-        &plans,
-        &RunOptions {
-            threads: Some(threads),
-            telemetry: Some(cfg),
-        },
-    );
-    let results: Vec<_> = with.iter().map(|(r, _)| r.clone()).collect();
-    let reports = with.iter().map(|(_, t)| t.clone()).collect();
+    let with = run_checked(&plans, threads, Some(cfg));
+    let reports = with.iter().map(|o| report(o).cloned()).collect();
     (
-        to_jsonl(&results),
-        telemetry_metrics_jsonl(&with),
-        telemetry_trace_jsonl(&with),
+        outcomes_to_jsonl(&with),
+        joined(&with, TelemetryReport::metrics_jsonl),
+        joined(&with, TelemetryReport::trace_jsonl),
         reports,
     )
 }
@@ -69,23 +89,17 @@ fn recorder_does_not_change_results_on_either_medium() {
     // the recorder on, off, and tracing.
     for name in ["fast-fading", "dense-enterprise"] {
         let plans = expand(&short(name, 0.5)).expect("expands");
-        let off = to_jsonl(&run_all(&plans, Some(2)));
+        let off = outcomes_to_jsonl(&run_checked(&plans, 2, None));
         let cfg = RecorderConfig {
             trace: true,
             ..RecorderConfig::default()
         };
-        let with = run_all_with_options(
-            &plans,
-            &RunOptions {
-                threads: Some(2),
-                telemetry: Some(cfg),
-            },
-        );
-        let on = to_jsonl(&with.iter().map(|(r, _)| r.clone()).collect::<Vec<_>>());
+        let with = run_checked(&plans, 2, Some(cfg));
+        let on = outcomes_to_jsonl(&with);
         assert!(!off.is_empty());
         assert_eq!(off, on, "{name}: recorder must not perturb results");
         assert!(
-            with.iter().all(|(_, t)| t.is_some()),
+            with.iter().all(|o| report(o).is_some()),
             "{name}: every run must yield a telemetry report"
         );
     }
@@ -220,17 +234,11 @@ fn emitted_streams_validate_against_the_checked_in_schema() {
         ..RecorderConfig::default()
     };
     let plans = expand(&short("fast-fading", 0.5)).expect("expands");
-    let with = run_all_with_options(
-        &plans,
-        &RunOptions {
-            threads: Some(2),
-            telemetry: Some(cfg),
-        },
-    );
+    let with = run_checked(&plans, 2, Some(cfg));
     let (metrics, trace, decisions) = (
-        telemetry_metrics_jsonl(&with),
-        telemetry_trace_jsonl(&with),
-        telemetry_decisions_jsonl(&with),
+        joined(&with, TelemetryReport::metrics_jsonl),
+        joined(&with, TelemetryReport::trace_jsonl),
+        joined(&with, TelemetryReport::decisions_jsonl),
     );
     let n = schema.validate_stream(&metrics).expect("metrics validate");
     assert!(n > 0, "metrics stream must not be empty");
@@ -251,14 +259,8 @@ fn decision_ledger_is_byte_identical_across_thread_counts() {
     };
     let run = |threads| {
         let plans = expand(&short("dense-enterprise", 0.5)).expect("expands");
-        let with = run_all_with_options(
-            &plans,
-            &RunOptions {
-                threads: Some(threads),
-                telemetry: Some(cfg.clone()),
-            },
-        );
-        telemetry_decisions_jsonl(&with)
+        let with = run_checked(&plans, threads, Some(cfg.clone()));
+        joined(&with, TelemetryReport::decisions_jsonl)
     };
     let (d1, d2, d8) = (run(1), run(2), run(8));
     assert!(!d1.is_empty(), "the ledger must not be empty");
@@ -281,42 +283,29 @@ fn decisions_off_leaves_every_other_stream_unchanged() {
     };
     for name in ["fast-fading", "dense-enterprise"] {
         let plans = expand(&short(name, 0.5)).expect("expands");
-        let off = run_all_with_options(
-            &plans,
-            &RunOptions {
-                threads: Some(2),
-                telemetry: Some(base.clone()),
-            },
-        );
-        let on = run_all_with_options(
-            &plans,
-            &RunOptions {
-                threads: Some(2),
-                telemetry: Some(with_ledger.clone()),
-            },
-        );
-        let results =
-            |w: &[(
-                softrate::scenario::engine::RunResult,
-                Option<TelemetryReport>,
-            )]| { to_jsonl(&w.iter().map(|(r, _)| r.clone()).collect::<Vec<_>>()) };
-        assert_eq!(results(&off), results(&on), "{name}: results perturbed");
+        let off = run_checked(&plans, 2, Some(base.clone()));
+        let on = run_checked(&plans, 2, Some(with_ledger.clone()));
         assert_eq!(
-            telemetry_metrics_jsonl(&off),
-            telemetry_metrics_jsonl(&on),
+            outcomes_to_jsonl(&off),
+            outcomes_to_jsonl(&on),
+            "{name}: results perturbed"
+        );
+        assert_eq!(
+            joined(&off, TelemetryReport::metrics_jsonl),
+            joined(&on, TelemetryReport::metrics_jsonl),
             "{name}: metrics perturbed by the ledger"
         );
         assert_eq!(
-            telemetry_trace_jsonl(&off),
-            telemetry_trace_jsonl(&on),
+            joined(&off, TelemetryReport::trace_jsonl),
+            joined(&on, TelemetryReport::trace_jsonl),
             "{name}: trace perturbed by the ledger"
         );
         assert!(
-            telemetry_decisions_jsonl(&off).is_empty(),
+            joined(&off, TelemetryReport::decisions_jsonl).is_empty(),
             "{name}: ledger must be empty when decisions is off"
         );
         assert!(
-            !telemetry_decisions_jsonl(&on).is_empty(),
+            !joined(&on, TelemetryReport::decisions_jsonl).is_empty(),
             "{name}: ledger must be populated when decisions is on"
         );
     }
@@ -338,16 +327,10 @@ fn every_observed_rate_change_has_a_matching_ledger_row() {
     };
     for name in ["udp-vehicular", "dense-enterprise"] {
         let plans = expand(&short(name, 0.5)).expect("expands");
-        let with = run_all_with_options(
-            &plans,
-            &RunOptions {
-                threads: Some(2),
-                telemetry: Some(cfg.clone()),
-            },
-        );
+        let with = run_checked(&plans, 2, Some(cfg.clone()));
         let mut checked = 0usize;
-        for (_, report) in &with {
-            let report = report.as_ref().expect("telemetry on");
+        for outcome in &with {
+            let report = report(outcome).expect("telemetry on");
             // (station -> (previous gauge, start of its interval)). The
             // gauge is sampled at outcome time, so the decision behind a
             // move can precede the first interval showing the new rate
