@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the discrete-event queue: push/pop churn
 //! is the hot loop of the multi-cell spatial simulator (a few events in
 //! flight per station, hundreds of stations, minutes of sim time), so its
-//! throughput gets pinned down here, for a backlog, for steady churn and
-//! for a kickoff surge.
+//! throughput gets pinned down here, for a backlog, for steady churn, for
+//! a kickoff surge and for a sparse single-cell run.
 //!
 //! `SOFTRATE_BENCH_QUICK=1` shrinks every measurement budget to ~100 ms
 //! so CI can smoke the bench harness without paying for statistics.
@@ -86,6 +86,30 @@ fn bench_eventqueue(c: &mut Criterion) {
                 let e = q.pop().expect("queue stays populated");
                 acc = acc.wrapping_add(e.event as u64);
                 q.schedule_in(34e-6 + (e.event % 32) as f64 * 9e-6, e.event);
+            }
+            acc
+        })
+    });
+
+    // A sparse single cell, the scenario matrix's shape: 8 pending events,
+    // each pop scheduling its successor 0.2–3 ms later, so most 8 µs
+    // buckets are empty and 100k pops cover about 1,000 wheel turns.
+    let ts = times(8);
+    g.throughput(Throughput::Elements(100_000));
+    g.bench_with_input(BenchmarkId::new("sparse", 8), &ts, |b, ts| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            for (i, &t) in ts.iter().enumerate() {
+                q.schedule(t * 3e-3, i as u32);
+            }
+            let mut acc = 0u64;
+            for k in 0..100_000u32 {
+                let e = q.pop().expect("queue stays populated");
+                acc = acc.wrapping_add(e.event as u64);
+                q.schedule_in(
+                    2e-4 + (k.wrapping_mul(2_654_435_761) % 2_800) as f64 * 1e-6,
+                    e.event,
+                );
             }
             acc
         })

@@ -22,10 +22,10 @@
 //! `--profile` additionally prints a per-phase wall-time breakdown
 //! (sense / begin / collision / fate / roam / transport / outcome /
 //! queue+dispatch) per ladder point, plus host-independent work counts
-//! (sense candidates, event-wheel pushes, spills, teleports and slab
-//! peak), so future perf PRs know where the time goes. Profiled rows keep
-//! identical simulation results but carry timer overhead, so the JSON is
-//! only refreshed on unprofiled runs.
+//! (sense candidates, event-wheel pushes, spills, teleports, bucket
+//! loads and slab peak), so future perf PRs know where the time goes.
+//! Profiled rows keep identical simulation results but carry timer
+//! overhead, so the JSON is only refreshed on unprofiled runs.
 //! `--gate` is the CI perf check: one quick 400-station measurement that
 //! must stay within 30% of the committed trajectory — plus, when the
 //! committed file carries them, a 10k-station city point and a
@@ -299,11 +299,11 @@ fn print_profile(p: &PhaseProfile) {
         p.sense_candidates,
         p.sense_candidates as f64 / senses.max(1) as f64,
     );
-    // Event-wheel work: ring pushes, far-future spills, idle-gap jumps
-    // and the most events the slab ever held.
+    // Event-wheel work: ring pushes, far-future spills, idle-gap jumps,
+    // buckets loaded and the most events the slab ever held.
     println!(
-        "                   wheel pushes {}  spills {}  teleports {}  slab peak {}",
-        p.wheel.pushes, p.wheel.spills, p.wheel.teleports, p.wheel.slab_peak,
+        "                   wheel pushes {}  spills {}  teleports {}  advances {}  slab peak {}",
+        p.wheel.pushes, p.wheel.spills, p.wheel.teleports, p.wheel.advances, p.wheel.slab_peak,
     );
 }
 

@@ -7,8 +7,11 @@
 //! (transport timers, roaming checks). The common push links an event
 //! into its bucket in O(1) with no comparisons; when the cursor reaches a
 //! bucket, its events are copied into the drain buffer, sorted once and
-//! drained from the back. When the wheel goes empty the cursor teleports
-//! to the overflow's minimum instead of scanning empty buckets.
+//! drained from the back. An **occupancy bitmap**, one bit per ring slot,
+//! lets the cursor jump straight to the next non-empty bucket: a dense
+//! run finds it in the next slot, a sparse one by a scan of at most 32
+//! words, so no empty bucket is ever loaded. When the wheel goes empty
+//! the cursor teleports to the overflow's minimum instead.
 //!
 //! Ring events live in **one slab**: a single array of events with a
 //! parallel array of `next` links. A ring slot holds only the head index
@@ -24,9 +27,13 @@
 //! the bucket map `t ↦ ⌊t/width⌋` is monotone (ties in time share a
 //! bucket, so FIFO resolution by `seq` happens inside one sort), and the
 //! overflow heap feeds events into their buckets before the cursor can
-//! reach them. Pops are therefore the exact sequence a `BinaryHeap`
-//! produced. Only the constants (bucket width, wheel span) and the slab's
-//! index reuse are tuning — they cannot affect order, only speed.
+//! reach them: every overflow event lies at least a wheel span past the
+//! cursor and the next occupied ring bucket lies within one span, so a
+//! jump passes no event, and the events that migrate after it land in
+//! the slots of the skipped (empty) buckets. Pops are therefore the
+//! exact sequence a `BinaryHeap` produced. Only the constants (bucket
+//! width, wheel span) and the slab's index reuse are tuning — they cannot
+//! affect order, only speed.
 
 use std::cmp::Reverse;
 use std::mem;
@@ -69,10 +76,12 @@ fn key<E>(e: &Scheduled<E>) -> (i64, u64) {
 const WHEEL_BITS: usize = 11;
 const WHEEL_BUCKETS: usize = 1 << WHEEL_BITS;
 const SLOT_MASK: u64 = WHEEL_BUCKETS as u64 - 1;
+/// Words of the occupancy bitmap.
+const WORDS: usize = WHEEL_BUCKETS / 64;
 
 /// Bucket width, seconds. 8 µs is slot-scale: dense simulations land a
-/// handful of events per bucket (one short sort each), sparse ones skip
-/// empty buckets at one pointer check apiece.
+/// handful of events per bucket (one short sort each), sparse ones jump
+/// over empty buckets through the occupancy bitmap.
 const BUCKET_WIDTH: f64 = 8e-6;
 const INV_BUCKET_WIDTH: f64 = 1.0 / BUCKET_WIDTH;
 
@@ -98,6 +107,10 @@ pub struct WheelCounters {
     /// Idle gaps the cursor jumped instead of walking: the wheel was
     /// empty and the cursor moved straight to the overflow's minimum.
     pub teleports: u64,
+    /// Buckets the cursor loaded into the drain buffer, teleports
+    /// included. Every load takes at least one event, so this never
+    /// exceeds the pops.
+    pub advances: u64,
     /// The slab's length: the most events ever on the ring at once (the
     /// slab never shrinks and grows only when its free list is empty).
     pub slab_peak: u64,
@@ -119,6 +132,9 @@ pub struct EventQueue<E> {
     /// `b`'s chain (unsorted, most recent push first) for the single
     /// in-flight wheel generation, or `NIL`.
     heads: Vec<u32>,
+    /// Bit `s` of word `s / 64` is set exactly when slot `s`'s chain is
+    /// non-empty.
+    occupied: [u64; WORDS],
     /// Head of the free list of slab indices, most recently freed first.
     free: u32,
     /// The bucket the cursor is draining: sorted descending, popped from
@@ -143,6 +159,7 @@ impl<E> Default for EventQueue<E> {
             slab: Vec::new(),
             next: Vec::new(),
             heads: vec![NIL; WHEEL_BUCKETS],
+            occupied: [0; WORDS],
             free: NIL,
             cur: Vec::new(),
             cur_bucket: 0,
@@ -235,7 +252,9 @@ impl<E: Copy> EventQueue<E> {
     /// recently freed slab entry if there is one.
     #[inline]
     fn ring_push(&mut self, b: u64, ev: Scheduled<E>) {
-        let head = &mut self.heads[(b & SLOT_MASK) as usize];
+        let slot = (b & SLOT_MASK) as usize;
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+        let head = &mut self.heads[slot];
         if self.free == NIL {
             self.next.push(mem::replace(head, self.slab.len() as u32));
             self.slab.push(ev);
@@ -253,6 +272,7 @@ impl<E: Copy> EventQueue<E> {
     /// the (empty) drain buffer.
     fn advance(&mut self) {
         debug_assert!(self.cur.is_empty());
+        self.counters.advances += 1;
         if self.wheel_len == 0 {
             // Nothing on the wheel: teleport to the overflow's earliest
             // bucket instead of walking empty slots.
@@ -260,19 +280,20 @@ impl<E: Copy> EventQueue<E> {
             self.cur_bucket = bucket_of(self.overflow[0].time);
             self.counters.teleports += 1;
         } else {
-            self.cur_bucket += 1;
+            // Overflow events all lie a wheel span or more past the
+            // cursor, beyond any ring bucket, so the jump passes none.
+            self.cur_bucket = self.next_occupied(self.cur_bucket + 1);
         }
         // Copy the bucket's chain out and hand its indices to the free list.
-        let head = &mut self.heads[(self.cur_bucket & SLOT_MASK) as usize];
-        if *head != NIL {
-            let mut i = mem::replace(head, NIL);
-            while i != NIL {
-                self.cur.push(self.slab[i as usize]);
-                let next = mem::replace(&mut self.next[i as usize], self.free);
-                self.free = i;
-                i = next;
-                self.wheel_len -= 1;
-            }
+        let slot = (self.cur_bucket & SLOT_MASK) as usize;
+        let mut i = mem::replace(&mut self.heads[slot], NIL);
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
+        while i != NIL {
+            self.cur.push(self.slab[i as usize]);
+            let next = mem::replace(&mut self.next[i as usize], self.free);
+            self.free = i;
+            i = next;
+            self.wheel_len -= 1;
         }
         // Let far-future events whose bucket just became representable
         // enter the ring.
@@ -293,6 +314,35 @@ impl<E: Copy> EventQueue<E> {
             // Descending, so pops come off the back earliest-first.
             self.cur.sort_unstable_by_key(|e| Reverse(key(e)));
         }
+    }
+
+    /// The first non-empty ring bucket at or after `from`; the ring must
+    /// hold an event. The next slot is checked first, so a dense run pays
+    /// one load; otherwise the bitmap is scanned from `from`'s slot,
+    /// wrapping once around the ring.
+    #[inline]
+    fn next_occupied(&self, from: u64) -> u64 {
+        debug_assert!(self.wheel_len > 0);
+        let start = (from & SLOT_MASK) as usize;
+        if self.heads[start] != NIL {
+            return from;
+        }
+        let mut w = start / 64;
+        let mut bits = self.occupied[w] & (!0 << (start % 64));
+        // `WORDS + 1` words: the start word again last, for the slots
+        // below `start` one turn later.
+        for _ in 0..=WORDS {
+            if bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                return from + (slot.wrapping_sub(start) as u64 & SLOT_MASK);
+            }
+            w = (w + 1) % WORDS;
+            bits = self.occupied[w];
+        }
+        unreachable!(
+            "the ring holds {} events but no slot is set",
+            self.wheel_len
+        )
     }
 
     fn overflow_push(&mut self, ev: Scheduled<E>) {
@@ -543,6 +593,10 @@ mod tests {
                 n
             };
             let on_chains: usize = q.heads.iter().map(|&h| visit(h)).sum();
+            for (slot, &h) in q.heads.iter().enumerate() {
+                let bit = q.occupied[slot / 64] >> (slot % 64) & 1 == 1;
+                assert_eq!(bit, h != NIL, "slot {slot}'s occupancy bit");
+            }
             assert_eq!(on_chains, q.wheel_len);
             visit(q.free);
             assert!(seen.iter().all(|&s| s), "an index is on no list");

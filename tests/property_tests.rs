@@ -433,13 +433,15 @@ proptest! {
 // `BinaryHeap` ordered by `(f64::total_cmp(time), seq)` pops, under any
 // interleaving of `schedule` and `pop`. Each case schedules `-0.0` and
 // `0.0` first (they tie in `==` but not in the total order), then random
-// ops: slot-scale, frame-scale and beyond-span deltas, idle gaps of 10 s
-// and more, exact repeats of earlier times and past times (both clamp to
-// `now`). Then bursts over more than a wheel span, each drained to a
-// quarter before the next, reuse freed slab entries across wheel turns;
-// the slab must stay within the most events ever pending. It ends with a
-// full drain followed by one forced idle gap, so every case teleports at
-// least once.
+// ops: slot-scale, frame-scale, sparse (0.2–15 ms, so the cursor's jumps
+// cross bitmap words and the ring's wrap) and beyond-span deltas, idle
+// gaps of 10 s and more, exact repeats of earlier times and past times
+// (both clamp to `now`). Then bursts over more than a wheel span, each
+// drained to a quarter before the next, reuse freed slab entries across
+// wheel turns; the slab must stay within the most events ever pending.
+// It ends with a full drain followed by one forced idle gap, so every
+// case teleports at least once. The cursor must never load an empty
+// bucket: it loads at most one bucket per pop.
 
 use softrate::sim::event::EventQueue;
 use std::cmp::{Ordering, Reverse};
@@ -479,6 +481,8 @@ struct WheelCheck {
     seq: u64,
     /// The most events ever pending at once.
     max_len: usize,
+    /// Pops that returned an event.
+    pops: u64,
 }
 
 impl WheelCheck {
@@ -502,6 +506,7 @@ impl WheelCheck {
             .map(|Reverse(r)| (r.time.to_bits(), r.seq, r.seq));
         assert_eq!(got, want, "pop at {at}: (time bits, seq, payload)");
         if let Some((bits, _, _)) = got {
+            self.pops += 1;
             self.now = f64::from_bits(bits);
             assert_eq!(self.q.now().to_bits(), bits, "clock after the pop at {at}");
         }
@@ -522,6 +527,7 @@ proptest! {
             now: 0.0,
             seq: 0,
             max_len: 0,
+            pops: 0,
         };
         let mut times: Vec<f64> = Vec::new();
         for t in [-0.0, 0.0, -0.0] {
@@ -546,6 +552,9 @@ proptest! {
                 6 => now - (1 + x % 100) as f64 * 1e-5,
                 // A signed zero (clamped once the clock has moved).
                 7 => if x & 1 == 0 { -0.0 } else { 0.0 },
+                // Sparse: a single cell's successor, hundreds of empty
+                // buckets ahead.
+                8 => now + 2e-4 + (x % 14_800) as f64 * 1e-6,
                 _ => {
                     w.pop(&format!("op {i}"));
                     continue;
@@ -585,6 +594,13 @@ proptest! {
             w.pop("the idle gap");
         }
         prop_assert!(w.q.is_empty());
-        prop_assert!(w.q.counters().teleports >= 1, "no idle gap was crossed");
+        let c = w.q.counters();
+        prop_assert!(c.teleports >= 1, "no idle gap was crossed");
+        prop_assert!(
+            c.advances <= w.pops,
+            "{} buckets loaded for {} pops: an empty bucket was walked",
+            c.advances,
+            w.pops
+        );
     }
 }
