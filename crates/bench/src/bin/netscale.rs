@@ -319,12 +319,17 @@ fn run_gate() -> ! {
     const GATE_SIM_SECONDS: f64 = 2.0;
     const GATE_CITY_SIM_SECONDS: f64 = 0.5;
     const GATE_TOLERANCE: f64 = 0.70;
-    // `events_processed` of each gated run, so the gate also checks that
-    // it timed the same computation: a sense bug that skips audible
-    // transmitters changes the deferral count, and may well run faster.
+    // `(events_processed, frames_sent, collisions)` of each gated run, so
+    // the gate also checks that it timed the same computation: a sense
+    // bug that skips audible transmitters changes the deferral count, and
+    // may well run faster; a MAC bug that moves outcomes but not the
+    // event count changes the frame or collision count.
     const GATE_EVENTS_UDP: u64 = 1_719_563;
     const GATE_EVENTS_CITY: u64 = 2_028_372;
     const GATE_EVENTS_TCP: u64 = 253_008;
+    const GATE_OUTCOMES_UDP: (u64, u64) = (21_515, 415);
+    const GATE_OUTCOMES_CITY: (u64, u64) = (11_441, 430);
+    const GATE_OUTCOMES_TCP: (u64, u64) = (13_230, 618);
     banner("netscale --gate — perf regression check vs BENCH_netscale.json");
     let committed: NetScaleResults = match std::fs::read_to_string("BENCH_netscale.json")
         .map_err(|e| e.to_string())
@@ -341,7 +346,8 @@ fn run_gate() -> ! {
         std::process::exit(1);
     };
     // Warmup, then best of two (the simulation is deterministic; only the
-    // clock varies). Returns events/s and the event count.
+    // clock varies). Returns events/s, the event count and the
+    // `(frames_sent, collisions)` outcome.
     let measure = |stations: usize, traffic: &SpatialTraffic, duration: f64| {
         let rung = LADDER
             .iter()
@@ -353,21 +359,33 @@ fn run_gate() -> ! {
         let started = std::time::Instant::now();
         let report = sim.run();
         let eps = report.events_processed as f64 / started.elapsed().as_secs_f64().max(1e-9);
-        (eps, report.events_processed)
+        (
+            eps,
+            report.events_processed,
+            (report.frames_sent, report.collisions),
+        )
     };
     let check = |label: &str,
                  stations: usize,
                  traffic: &SpatialTraffic,
                  sim_seconds: f64,
                  committed_eps,
-                 expected_events: u64| {
+                 expected_events: u64,
+                 expected_outcomes: (u64, u64)| {
         measure(stations, traffic, sim_seconds / 4.0);
-        let (a, events) = measure(stations, traffic, sim_seconds);
-        let (b, _) = measure(stations, traffic, sim_seconds);
+        let (a, events, outcomes) = measure(stations, traffic, sim_seconds);
+        let (b, _, _) = measure(stations, traffic, sim_seconds);
         if events != expected_events {
             eprintln!(
                 "gate FAILED ({label}): {stations} stations, {sim_seconds} s processed \
                  {events} events, expected {expected_events}"
+            );
+            std::process::exit(1);
+        }
+        if outcomes != expected_outcomes {
+            eprintln!(
+                "gate FAILED ({label}): {stations} stations, {sim_seconds} s gave \
+                 (frames_sent, collisions) {outcomes:?}, expected {expected_outcomes:?}"
             );
             std::process::exit(1);
         }
@@ -393,10 +411,11 @@ fn run_gate() -> ! {
         GATE_SIM_SECONDS,
         baseline.events_per_sec,
         GATE_EVENTS_UDP,
+        GATE_OUTCOMES_UDP,
     );
     // The 10k-station city rung: pins throughput at ladder scale, where
-    // carrier sense and the memo layers carry the load. A shorter window
-    // keeps the gate affordable (events/sec is a rate).
+    // carrier sense through the grid sense index carries the load. A
+    // shorter window keeps the gate affordable (events/sec is a rate).
     if let Some(city) = committed
         .rows
         .iter()
@@ -409,6 +428,7 @@ fn run_gate() -> ! {
             GATE_CITY_SIM_SECONDS,
             city.events_per_sec,
             GATE_EVENTS_CITY,
+            GATE_OUTCOMES_CITY,
         );
     } else {
         println!("(no committed {GATE_CITY_STATIONS}-station row; small rung only)");
@@ -426,6 +446,7 @@ fn run_gate() -> ! {
             GATE_SIM_SECONDS,
             tcp_baseline.events_per_sec,
             GATE_EVENTS_TCP,
+            GATE_OUTCOMES_TCP,
         );
     } else {
         println!("(no committed TCP trajectory with a {GATE_STATIONS}-station row; udp only)");

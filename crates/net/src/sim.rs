@@ -332,7 +332,6 @@ impl TransportHost for SpatialHost<'_> {
 
     fn enqueue(&mut self, link: usize, payload: Payload) {
         self.queues[link].push_back(payload);
-        self.core.lanes.queue_depth[link] = self.queues[link].len() as u32;
         if self.core.recorder.is_some() {
             let station = station_of_port(self.n, link);
             let depth = self.queues[link].len();
@@ -346,10 +345,7 @@ impl TransportHost for SpatialHost<'_> {
         } else {
             self.n + self.stations[link - self.n].ap
         };
-        if !self.core.lanes.busy[sender] && !self.core.lanes.start_pending[sender] {
-            let cw = self.core.lanes.cw[link];
-            self.core.schedule_tx_start(sender, None, cw);
-        }
+        self.core.wake(sender, link);
     }
 
     fn schedule_in(&mut self, delay: f64, ev: TransportEv) {
@@ -573,8 +569,8 @@ impl SpatialMedium {
         if reset {
             core.ports[st].adapter = self.make_adapter(st);
         }
-        core.lanes.retries[st] = 0;
-        core.lanes.cw[st] = CW_MIN;
+        core.ports[st].retries = 0;
+        core.ports[st].cw = CW_MIN;
         // Flow-mode bookkeeping: the downlink queue (and the flow's TCP
         // state with it) re-homes to the new AP; the downlink adapter
         // follows the handoff policy like the uplink one.
@@ -583,8 +579,8 @@ impl SpatialMedium {
             if reset {
                 core.ports[n + st].adapter = self.make_downlink_adapter(st);
             }
-            core.lanes.retries[n + st] = 0;
-            core.lanes.cw[n + st] = CW_MIN;
+            core.ports[n + st].retries = 0;
+            core.ports[n + st].cw = CW_MIN;
         }
         if let Some(fl) = self.flows.as_mut() {
             fl.ap_members[from].retain(|&m| m != st);
@@ -596,14 +592,8 @@ impl SpatialMedium {
             // air or awaiting feedback: the queue front belongs to that
             // transmission, and serving it twice would desync the queue
             // (`after_outcome` wakes the new owner when it resolves).
-            let ap_sender = n + to;
-            if !fl.port_inflight[n + st]
-                && !fl.queues[n + st].is_empty()
-                && !core.lanes.busy[ap_sender]
-                && !core.lanes.start_pending[ap_sender]
-            {
-                let cw = core.lanes.cw[n + st];
-                core.schedule_tx_start(ap_sender, None, cw);
+            if !fl.port_inflight[n + st] && !fl.queues[n + st].is_empty() {
+                core.wake(n + to, n + st);
             }
         }
         self.handoffs += 1;
@@ -638,10 +628,10 @@ impl SpatialMedium {
             }
             for port in ports {
                 if reset {
-                    core.lanes.handoff_reset[port] = true;
+                    core.ports[port].handoff_reset = true;
                     continue;
                 }
-                let Some(rate) = core.lanes.last_rate[port] else {
+                let Some(rate) = core.ports[port].last_rate else {
                     continue; // never transmitted: nothing to mark
                 };
                 let adapter = core.ports[port].adapter.name();
@@ -671,7 +661,7 @@ impl SpatialMedium {
     /// feedback): every launched attempt resolves against the link state
     /// it was launched on before the association changes underneath it.
     fn try_apply_pending_handoff(&mut self, core: &mut Core, st: usize) {
-        if self.stations[st].pending_handoff.is_none() || core.lanes.busy[st] {
+        if self.stations[st].pending_handoff.is_none() || core.senders[st].busy {
             return;
         }
         let n = self.params.n_stations;
@@ -730,8 +720,6 @@ impl SpatialMedium {
             if let Some(p) = protected {
                 self.flows.as_mut().expect("checked").queues[port].push_front(p);
             }
-            core.lanes.queue_depth[port] =
-                self.flows.as_ref().expect("checked").queues[port].len() as u32;
         }
         dropped
     }
@@ -743,16 +731,11 @@ impl SpatialMedium {
         let Some(fl) = self.flows.as_ref() else {
             return;
         };
-        let sender = n + ap;
-        if core.lanes.busy[sender] || core.lanes.start_pending[sender] {
-            return;
-        }
-        for &st in &fl.ap_members[ap] {
-            if !fl.queues[n + st].is_empty() && !fl.port_inflight[n + st] {
-                let cw = core.lanes.cw[n + st];
-                core.schedule_tx_start(sender, None, cw);
-                return;
-            }
+        if let Some(&st) = fl.ap_members[ap]
+            .iter()
+            .find(|&&st| !fl.queues[n + st].is_empty() && !fl.port_inflight[n + st])
+        {
+            core.wake(n + ap, n + st);
         }
     }
 
@@ -809,10 +792,7 @@ impl SpatialMedium {
                 // Churn runs on the saturated-uplink workload (validated
                 // at construction): the joiner's first channel access
                 // starts here instead of at kickoff.
-                if !core.lanes.busy[st] && !core.lanes.start_pending[st] {
-                    let cw = core.lanes.cw[st];
-                    core.schedule_tx_start(st, None, cw);
-                }
+                core.wake(st, st);
             }
             FaultEv::Leave { st } => {
                 let fs = self
@@ -959,8 +939,7 @@ impl Medium for SpatialMedium {
                     if self.faults.as_ref().is_some_and(|f| f.dormant[s]) {
                         continue;
                     }
-                    let cw = core.lanes.cw[s];
-                    core.schedule_tx_start(s, Some(s as f64 * stagger), cw);
+                    core.schedule_tx_start(s, Some(s as f64 * stagger), s);
                 }
             }
             Some(fl) => {
@@ -1217,16 +1196,9 @@ impl Medium for SpatialMedium {
             };
             if let Some(int_at_o) = int_at_o {
                 if int_at_o >= 0.0 && o.info.sig_snr_db - int_at_o < self.params.capture_sir_db {
-                    let om = &mut active[i];
-                    om.collided = true;
-                    om.first_other_start = om.first_other_start.min(tx.start);
-                    om.max_other_end = om.max_other_end.max(tx.end);
-                    if o.info.ap != tx.info.ap {
-                        self.inter_cell_corruptions += 1;
-                        om.corrupt_inter_cell = true;
-                    } else {
-                        om.corrupt_same_cell = true;
-                    }
+                    let same_cell = o.info.ap == tx.info.ap;
+                    self.inter_cell_corruptions += u64::from(!same_cell);
+                    active[i].mark_corrupted(tx.start, tx.end, same_cell);
                 }
             }
             // Does `o` corrupt the new transmission at my receiver? `o`
@@ -1243,15 +1215,9 @@ impl Medium for SpatialMedium {
                 if int_at_mine >= 0.0
                     && tx.info.sig_snr_db - int_at_mine < self.params.capture_sir_db
                 {
-                    tx.collided = true;
-                    tx.first_other_start = tx.first_other_start.min(o.start);
-                    tx.max_other_end = tx.max_other_end.max(o.end);
-                    if o.info.ap != tx.info.ap {
-                        self.inter_cell_corruptions += 1;
-                        tx.corrupt_inter_cell = true;
-                    } else {
-                        tx.corrupt_same_cell = true;
-                    }
+                    let same_cell = o.info.ap == tx.info.ap;
+                    self.inter_cell_corruptions += u64::from(!same_cell);
+                    tx.mark_corrupted(o.start, o.end, same_cell);
                 }
             }
         }
@@ -1296,7 +1262,6 @@ impl Medium for SpatialMedium {
         };
         core.stats.frames_delivered += u64::from(tx.info.payload.is_segment());
         fl.queues[tx.port].pop_front();
-        core.lanes.queue_depth[tx.port] = fl.queues[tx.port].len() as u32;
         if tx.sender >= n {
             let a = tx.sender - n;
             fl.ap_rr[a] = (fl.ap_rr[a] + 1) % fl.ap_members[a].len().max(1);
@@ -1321,7 +1286,6 @@ impl Medium for SpatialMedium {
             return;
         };
         fl.queues[tx.port].pop_front();
-        core.lanes.queue_depth[tx.port] = fl.queues[tx.port].len() as u32;
         let FlowNet {
             transport, queues, ..
         } = fl;
@@ -1342,10 +1306,7 @@ impl Medium for SpatialMedium {
         match &self.flows {
             None => {
                 // Saturated uplink: there is always a next frame.
-                if !core.lanes.start_pending[sender] {
-                    let cw = core.lanes.cw[sender];
-                    core.schedule_tx_start(sender, None, cw);
-                }
+                core.wake(sender, sender);
             }
             Some(_) => {
                 // The attempt on `sender_port[sender]` just fully resolved
@@ -1370,19 +1331,11 @@ impl Medium for SpatialMedium {
                     n + self.stations[port - n].ap
                 };
                 let fl = self.flows.as_ref().expect("matched Some above");
-                if owner != sender
-                    && !fl.queues[port].is_empty()
-                    && !core.lanes.busy[owner]
-                    && !core.lanes.start_pending[owner]
-                {
-                    let cw = core.lanes.cw[port];
-                    core.schedule_tx_start(owner, None, cw);
+                if owner != sender && !fl.queues[port].is_empty() {
+                    core.wake(owner, port);
                 }
                 if let Some(port) = self.pick_port(sender) {
-                    if !core.lanes.start_pending[sender] {
-                        let cw = core.lanes.cw[port];
-                        core.schedule_tx_start(sender, None, cw);
-                    }
+                    core.wake(sender, port);
                 }
             }
         }
@@ -1447,7 +1400,7 @@ impl Medium for SpatialMedium {
                 .flows
                 .as_ref()
                 .is_some_and(|fl| fl.port_inflight[n + st]);
-            if core.lanes.busy[st] || downlink_inflight {
+            if core.senders[st].busy || downlink_inflight {
                 self.stations[st].pending_handoff = Some(best);
             } else {
                 self.apply_handoff(core, st, best, now);
@@ -2020,7 +1973,10 @@ mod tests {
     /// or the slab shows up here without a clock; the cursor loads fewer
     /// buckets than it pops events, since it never loads an empty one.
     /// Roaming checks every 100 ms and TCP timers land beyond the wheel's
-    /// ~16 ms span, so the overflow heap is exercised too.
+    /// ~16 ms span, so the overflow heap is exercised too. Flow-mode TCP
+    /// with roaming reaches most of the MAC's wake-up paths (enqueue,
+    /// handoff, the re-homed downlink's new owner), so the deferral and
+    /// transmission counts pin those as well.
     #[test]
     fn wheel_counters_are_pinned_on_a_fixed_deployment() {
         let mut spec = small_spec(3, 40.0, 24);
@@ -2046,9 +2002,67 @@ mod tests {
                 w.spills,
                 w.teleports,
                 w.advances,
-                w.slab_peak
+                w.slab_peak,
+                p.deferrals,
+                p.transmissions
             ),
-            (33_412, 33_506, 3_240, 0, 29_784, 100)
+            (33_412, 33_506, 3_240, 0, 29_784, 100, 4_534, 6_608)
+        );
+    }
+
+    /// A handoff that re-homes a queued downlink wakes the new AP with a
+    /// backoff drawn from that downlink's contention window, which the
+    /// handoff has just reset, not from whichever port happens to share
+    /// the AP sender's index. Eight MAC seeds, so a wrong window cannot
+    /// pass by drawing a short backoff.
+    #[test]
+    fn handoff_wakes_the_new_ap_from_the_rehomed_downlinks_window() {
+        use softrate_sim::timing::{CW_MAX, DIFS, SLOT};
+        for mac_seed in 1..=8 {
+            let mut cfg = SpatialConfig::new(AdapterKind::Fixed(2), small_spec(2, 30.0, 4));
+            cfg.traffic = flows(TrafficKind::Tcp, false);
+            cfg.mac_seed = mac_seed;
+            let mut sim = SpatialSim::new(cfg).expect("valid spec");
+            let MacEngine { core, medium, .. } = &mut sim.engine;
+            let n = medium.params.n_stations;
+            // A station whose index is no AP's, so port `n + to` is
+            // another station's downlink.
+            let st = n - 1;
+            let to = 1 - medium.stations[st].ap;
+            medium.flows.as_mut().expect("flow mode").queues[n + st].push_back(Payload::Ack(0));
+            for port in &mut core.ports {
+                port.cw = CW_MAX;
+            }
+            medium.apply_handoff(core, st, to, 0.0);
+            let ev = core.events.pop().expect("the new AP was woken");
+            assert!(matches!(ev.event, MacEv::TxStart { sender } if sender == n + to));
+            assert!(
+                ev.time <= DIFS + CW_MIN as f64 * SLOT + 1e-12,
+                "seed {mac_seed}: backoff until {} s exceeds CW_MIN",
+                ev.time
+            );
+        }
+    }
+
+    /// Loss attribution on overlapping cells, pinned exactly: a frame
+    /// corrupted only from a foreign cell is filed as capture, one
+    /// corrupted from its own cell as a collision, whichever side of the
+    /// overlap (the new transmission or one already on the air) it is.
+    #[test]
+    fn overlapping_cells_attribute_losses_by_cell() {
+        let mut spec = small_spec(3, 12.0, 12);
+        spec.sense_snr_db = Some(100.0); // nobody ever defers
+        let mut cfg = SpatialConfig::new(AdapterKind::Fixed(2), spec);
+        cfg.duration = 1.0;
+        cfg.telemetry = Some(softrate_telemetry::RecorderConfig::default());
+        let r = run(cfg);
+        let totals = r.telemetry.expect("recorder on").totals;
+        let collision: u64 = totals.iter().map(|t| t.loss_collision).sum();
+        let capture: u64 = totals.iter().map(|t| t.loss_capture).sum();
+        assert!(collision > 0 && capture > 0);
+        assert_eq!(
+            (r.collisions, r.inter_cell_corruptions, collision, capture),
+            (3_900, 2_309, 3_845, 55)
         );
     }
 

@@ -141,90 +141,50 @@ pub enum MacEv<E> {
     Medium(E),
 }
 
-/// The per-station hot state in struct-of-arrays form: every field the
-/// dispatch loop touches per event, as parallel dense `Vec`s indexed by
-/// sender id (`busy`/`start_pending`) or port id (the rest).
-///
-/// This replaces the old per-station structs (`Sender { busy,
-/// start_pending }` and the retry/attempt counters that rode on `Port`
-/// next to its boxed adapter): a TxStart that defers now reads
-/// `start_pending`/`busy`/`cw` from three contiguous arrays instead of
-/// dragging a pointer-chased `Port` (vtable and all) through the cache,
-/// and an outcome bumps `retries`/`attempts`/`cw` in dense lanes. The
-/// trailing gauges (`last_rate`, `last_snr_db`, `queue_depth`) are
-/// observability lanes: the engine and media keep them current, nothing
-/// in the dispatch path reads them back, so they can never perturb
-/// results.
-#[derive(Debug, Clone, Default)]
-pub struct StationLanes {
-    /// Per sender: a transmission is on the air or awaiting its outcome.
-    pub busy: Vec<bool>,
-    /// Per sender: a TxStart event is already scheduled.
-    pub start_pending: Vec<bool>,
-    /// Per port: current contention window (the deferral hot path reads
-    /// it on every carrier-sensed TxStart).
-    pub cw: Vec<u32>,
-    /// Per port: consecutive failed attempts for the head-of-line frame.
-    pub retries: Vec<u32>,
-    /// Per port: lifetime attempt counter (keys trace fate draws).
-    pub attempts: Vec<u64>,
-    /// Per port: the rate the decision ledger believes the port is at
-    /// (`new_rate` of its last row, or its last transmitted rate; `None`
-    /// until the port first transmits).
-    pub last_rate: Vec<Option<usize>>,
-    /// Per port: adapter was rebuilt by a Reset handoff since the last
-    /// transmission (the next transmission files the rate change under
-    /// `handoff_reset`).
-    pub handoff_reset: Vec<bool>,
-    /// Per port, gauge: SNR feedback of the last resolved attempt that
-    /// carried any (dB). `NAN` until then.
-    pub last_snr_db: Vec<f64>,
-    /// Per port, gauge: frames queued behind the head-of-line frame.
-    /// Maintained by queue-owning media (flow mode); saturated sources
-    /// leave it at zero.
-    pub queue_depth: Vec<u32>,
-}
-
-impl StationLanes {
-    /// Lanes for `n_senders` transmitters driving `n_ports` links.
-    pub fn new(n_senders: usize, n_ports: usize) -> Self {
-        StationLanes {
-            busy: vec![false; n_senders],
-            start_pending: vec![false; n_senders],
-            cw: vec![CW_MIN; n_ports],
-            retries: vec![0; n_ports],
-            attempts: vec![0; n_ports],
-            last_rate: vec![None; n_ports],
-            handoff_reset: vec![false; n_ports],
-            last_snr_db: vec![f64::NAN; n_ports],
-            queue_depth: vec![0; n_ports],
-        }
-    }
-
-    /// Number of transmitters.
-    pub fn n_senders(&self) -> usize {
-        self.busy.len()
-    }
-}
-
-/// One rate-adapted unidirectional link: the adapter driving it.
-/// Single-cell media have one port per wireless link (the AP owns
-/// several); spatial media one per station.
-///
-/// All the hot per-port counters (contention window, retries, attempts)
-/// live in [`MacCore::lanes`], not here: the dispatch loop touches them
-/// every event, and keeping them in dense arrays avoids dragging the
-/// adapter box through the cache for a few integers.
+/// One rate-adapted unidirectional link: the adapter driving it and the
+/// DCF state of its head-of-line frame. Single-cell media have one port
+/// per wireless link (the AP owns several); spatial media one per
+/// station.
 pub struct Port {
     /// The rate-adaptation algorithm driving this link.
     pub adapter: Box<dyn RateAdapter>,
+    /// Current contention window.
+    pub cw: u32,
+    /// Consecutive failed attempts for the head-of-line frame.
+    pub retries: u32,
+    /// Lifetime attempt counter (keys trace fate draws).
+    pub attempts: u64,
+    /// The rate the decision ledger believes the port is at (`new_rate`
+    /// of its last row, or its last transmitted rate; `None` until the
+    /// port first transmits).
+    pub last_rate: Option<usize>,
+    /// The adapter was rebuilt by a Reset handoff since the last
+    /// transmission (the next transmission files the rate change under
+    /// `handoff_reset`).
+    pub handoff_reset: bool,
 }
 
 impl Port {
     /// A fresh port around `adapter`.
     pub fn new(adapter: Box<dyn RateAdapter>) -> Self {
-        Port { adapter }
+        Port {
+            adapter,
+            cw: CW_MIN,
+            retries: 0,
+            attempts: 0,
+            last_rate: None,
+            handoff_reset: false,
+        }
     }
+}
+
+/// One transmitter's channel-access state.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sender {
+    /// A transmission is on the air or awaiting its outcome.
+    pub busy: bool,
+    /// A TxStart event is already scheduled.
+    pub start_pending: bool,
 }
 
 /// An in-flight (or feedback-pending) transmission. `I` is the medium's
@@ -254,8 +214,6 @@ pub struct ActiveTx<I> {
     pub attempt: u64,
     /// Whether this frame counts toward `frames_sent` (data frames only).
     pub counts_as_data: bool,
-    /// A concurrent transmission corrupted this one.
-    pub collided: bool,
     /// A corrupting transmission came from the same cell (telemetry loss
     /// attribution: same-cell corruption is a collision).
     pub corrupt_same_cell: bool,
@@ -268,6 +226,26 @@ pub struct ActiveTx<I> {
     pub max_other_end: f64,
     /// Medium-specific attempt data.
     pub info: I,
+}
+
+impl<I> ActiveTx<I> {
+    /// Records that an interferer on the air over `[start, end]`
+    /// corrupted this transmission; `same_cell` says whether it came
+    /// from this frame's own cell.
+    pub fn mark_corrupted(&mut self, start: f64, end: f64, same_cell: bool) {
+        if same_cell {
+            self.corrupt_same_cell = true;
+        } else {
+            self.corrupt_inter_cell = true;
+        }
+        self.first_other_start = self.first_other_start.min(start);
+        self.max_other_end = self.max_other_end.max(end);
+    }
+
+    /// Whether a concurrent transmission corrupted this one.
+    pub fn collided(&self) -> bool {
+        self.corrupt_same_cell || self.corrupt_inter_cell
+    }
 }
 
 /// What the medium decides about an attempt at transmit time.
@@ -337,9 +315,9 @@ pub struct LedgerState {
 pub struct MacCore<E, I> {
     /// The discrete-event queue.
     pub events: EventQueue<MacEv<E>>,
-    /// The per-sender / per-port hot state, in struct-of-arrays lanes.
-    pub lanes: StationLanes,
-    /// Adapter per port (cold beside [`MacCore::lanes`]).
+    /// Channel-access state per sender.
+    pub senders: Vec<Sender>,
+    /// Adapter and DCF state per port.
     pub ports: Vec<Port>,
     /// Transmissions currently on the air.
     pub active: Vec<ActiveTx<I>>,
@@ -371,10 +349,9 @@ impl<E: Copy, I> MacCore<E, I> {
     /// only to the events actually in flight and steady-state push/pop
     /// allocates nothing.
     pub fn new(n_senders: usize, ports: Vec<Port>, params: MacParams) -> Self {
-        let n_ports = ports.len();
         MacCore {
             events: EventQueue::new(),
-            lanes: StationLanes::new(n_senders, n_ports),
+            senders: vec![Sender::default(); n_senders],
             ports,
             active: Vec::new(),
             pending: Vec::new(),
@@ -413,18 +390,32 @@ impl<E: Copy, I> MacCore<E, I> {
     }
 
     /// Schedules `sender`'s next channel-access attempt after DIFS plus a
-    /// backoff drawn from contention window `cw` (callers read it from the
-    /// port the sender would serve, or pass [`CW_MIN`]).
-    pub fn schedule_tx_start(&mut self, sender: usize, after: Option<f64>, cw: u32) {
+    /// backoff drawn from `port`'s contention window, counted from
+    /// `after` (or now). The sender must be idle with no TxStart pending.
+    pub fn schedule_tx_start(&mut self, sender: usize, after: Option<f64>, port: usize) {
+        debug_assert!(
+            !self.senders[sender].busy && !self.senders[sender].start_pending,
+            "sender {sender} scheduled while busy or already pending"
+        );
         if let Some(rec) = self.recorder.as_deref_mut() {
             // Channel access starts the moment the sender begins
             // contending; deferrals keep the same period open.
             rec.mark_access_start(sender, self.events.now());
         }
-        let slots = self.rng.gen_range(0..=cw) as f64;
+        let slots = self.rng.gen_range(0..=self.ports[port].cw) as f64;
         let at = after.unwrap_or(self.events.now()) + DIFS + slots * SLOT;
-        self.lanes.start_pending[sender] = true;
+        self.senders[sender].start_pending = true;
         self.events.schedule(at, MacEv::TxStart { sender });
+    }
+
+    /// Starts `sender` contending for `port`'s head-of-line frame now,
+    /// unless it is already transmitting or has a TxStart pending (then
+    /// it picks the frame up when that resolves).
+    pub fn wake(&mut self, sender: usize, port: usize) {
+        let s = self.senders[sender];
+        if !s.busy && !s.start_pending {
+            self.schedule_tx_start(sender, None, port);
+        }
     }
 }
 
@@ -673,7 +664,7 @@ impl<M: Medium> MacEngine<M> {
         let adapter = core.ports[port].adapter.name();
         let mut pending = std::mem::take(&mut core.ledger.ctx.decisions);
         for d in pending.drain(..) {
-            core.lanes.last_rate[port] = Some(d.new_rate);
+            core.ports[port].last_rate = Some(d.new_rate);
             if let Some(rec) = core.recorder.as_deref_mut() {
                 rec.on_decision(
                     now,
@@ -695,8 +686,8 @@ impl<M: Medium> MacEngine<M> {
         let Some(tx_rate) = tx_rate else {
             return;
         };
-        let prev = core.lanes.last_rate[port];
-        let reset = std::mem::replace(&mut core.lanes.handoff_reset[port], false);
+        let prev = core.ports[port].last_rate;
+        let reset = std::mem::replace(&mut core.ports[port].handoff_reset, false);
         let engine_row = if reset {
             // A Reset handoff rebuilt the adapter: file the (possibly
             // identical) rate under handoff_reset exactly once.
@@ -734,13 +725,13 @@ impl<M: Medium> MacEngine<M> {
                 );
             }
         }
-        core.lanes.last_rate[port] = Some(tx_rate);
+        core.ports[port].last_rate = Some(tx_rate);
     }
 
     fn on_tx_start(&mut self, sender: usize) {
         let core = &mut self.core;
-        core.lanes.start_pending[sender] = false;
-        if core.lanes.busy[sender] {
+        core.senders[sender].start_pending = false;
+        if core.senders[sender].busy {
             return; // will reschedule when freed
         }
         let Some(port) = self.medium.pick_port(sender) else {
@@ -767,8 +758,7 @@ impl<M: Medium> MacEngine<M> {
                     rec.on_defer(now, station, sender);
                 }
             }
-            let cw = core.lanes.cw[port];
-            core.schedule_tx_start(sender, Some(until), cw);
+            core.schedule_tx_start(sender, Some(until), port);
             return;
         }
 
@@ -796,7 +786,7 @@ impl<M: Medium> MacEngine<M> {
             };
         let id = core.next_tx_id;
         core.next_tx_id += 1;
-        core.lanes.attempts[port] += 1;
+        core.ports[port].attempts += 1;
 
         let mut tx = ActiveTx {
             id,
@@ -808,9 +798,8 @@ impl<M: Medium> MacEngine<M> {
             rate_idx: attempt.rate_idx,
             use_rts: attempt.use_rts,
             payload_bytes: info.payload_bytes,
-            attempt: core.lanes.attempts[port],
+            attempt: core.ports[port].attempts,
             counts_as_data: info.counts_as_data,
-            collided: false,
             corrupt_same_cell: false,
             corrupt_inter_cell: false,
             first_other_start: f64::INFINITY,
@@ -830,7 +819,7 @@ impl<M: Medium> MacEngine<M> {
             }
         }
 
-        core.lanes.busy[sender] = true;
+        core.senders[sender].busy = true;
         core.events.schedule(tx.end, MacEv::TxEnd { tx: id });
         core.active.push(tx);
 
@@ -928,7 +917,7 @@ impl<M: Medium> MacEngine<M> {
                     core.stats.silent_losses += 1;
                 }
             }
-            None if tx.collided && !tx.use_rts => {
+            None if tx.collided() && !tx.use_rts => {
                 core.stats.collisions += 1;
                 let flagged = hash_uniform(&[tx.id, 0x00DE_7EC7, core.params.collision_seed])
                     < core.params.detect_prob;
@@ -985,7 +974,7 @@ impl<M: Medium> MacEngine<M> {
                     FaultLoss::Outage => LossCause::Outage,
                     FaultLoss::Jamming => LossCause::Jamming,
                 })
-            } else if tx.collided && !tx.use_rts {
+            } else if tx.collided() && !tx.use_rts {
                 if tx.corrupt_same_cell {
                     Some(LossCause::Collision)
                 } else {
@@ -994,7 +983,7 @@ impl<M: Medium> MacEngine<M> {
             } else {
                 Some(LossCause::Fading)
             };
-            let dropped = !outcome.acked && core.lanes.retries[tx.port] + 1 > MAX_RETRIES;
+            let dropped = !outcome.acked && core.ports[tx.port].retries + 1 > MAX_RETRIES;
             let station = self.medium.telemetry_station(tx.port);
             if let Some(rec) = core.recorder.as_deref_mut() {
                 rec.on_outcome(
@@ -1017,26 +1006,24 @@ impl<M: Medium> MacEngine<M> {
             }
         }
 
-        if let Some(snr) = fate.snr_feedback_db {
-            core.lanes.last_snr_db[tx.port] = snr;
-        }
         let t0 = self.profile.as_deref().map(|_| std::time::Instant::now());
+        let port = &mut core.ports[tx.port];
         if outcome.acked {
-            core.lanes.retries[tx.port] = 0;
-            core.lanes.cw[tx.port] = CW_MIN;
+            port.retries = 0;
+            port.cw = CW_MIN;
             self.medium.on_acked(core, &tx);
         } else {
-            core.lanes.retries[tx.port] += 1;
-            if core.lanes.retries[tx.port] > MAX_RETRIES {
-                core.lanes.retries[tx.port] = 0;
-                core.lanes.cw[tx.port] = CW_MIN;
+            port.retries += 1;
+            if port.retries > MAX_RETRIES {
+                port.retries = 0;
+                port.cw = CW_MIN;
                 self.medium.on_dropped(core, &tx);
             } else {
-                core.lanes.cw[tx.port] = (core.lanes.cw[tx.port] * 2 + 1).min(CW_MAX);
+                port.cw = (port.cw * 2 + 1).min(CW_MAX);
             }
         }
 
-        core.lanes.busy[tx.sender] = false;
+        core.senders[tx.sender].busy = false;
         self.medium.after_outcome(core, tx.sender);
         if let (Some(t0), Some(p)) = (t0, self.profile.as_deref_mut()) {
             p.outcome_s += t0.elapsed().as_secs_f64();
@@ -1063,7 +1050,7 @@ mod tests {
 
         fn kickoff(&mut self, core: &mut MacCore<(), ()>) {
             for sender in 0..self.senders {
-                core.schedule_tx_start(sender, None, CW_MIN);
+                core.schedule_tx_start(sender, None, sender);
             }
         }
 
@@ -1111,10 +1098,7 @@ mod tests {
         fn on_dropped(&mut self, _core: &mut MacCore<(), ()>, _tx: &ActiveTx<()>) {}
 
         fn after_outcome(&mut self, core: &mut MacCore<(), ()>, sender: usize) {
-            if !core.lanes.start_pending[sender] {
-                let cw = core.lanes.cw[sender];
-                core.schedule_tx_start(sender, None, cw);
-            }
+            core.wake(sender, sender);
         }
 
         fn on_event(&mut self, _core: &mut MacCore<(), ()>, _ev: ()) {}

@@ -30,7 +30,6 @@ use crate::config::SimConfig;
 use crate::mac::{
     ActiveTx, AttemptInfo, MacCore, MacEngine, MacEv, MacParams, Medium, Port, RunReport,
 };
-use crate::timing::CW_MIN;
 use crate::transport::{Payload, TransportConfig, TransportEv, TransportHost, TransportLayer};
 
 pub use crate::mac::RateAudit;
@@ -45,9 +44,8 @@ struct WLink {
     queue: VecDeque<Payload>,
 }
 
-/// One wireless node's link service order (0 = AP, 1.. = clients); the
-/// busy/backoff state lives in the engine's [`crate::mac::StationLanes`]
-/// slots.
+/// One wireless node's link service order (0 = AP, 1.. = clients); its
+/// busy/backoff state is the engine's matching [`crate::mac::Sender`].
 struct WNode {
     links_out: Vec<usize>,
     rr: usize,
@@ -97,12 +95,8 @@ impl TransportHost for TraceHost<'_> {
             }
         }
         let node = self.links[link].src;
-        if !self.core.lanes.busy[node] && !self.core.lanes.start_pending[node] {
-            let cw = pick_link(self.nodes, self.links, node)
-                .map(|l| self.core.lanes.cw[l])
-                .unwrap_or(CW_MIN);
-            self.core.schedule_tx_start(node, None, cw);
-        }
+        let port = pick_link(self.nodes, self.links, node).expect("a frame was just queued");
+        self.core.wake(node, port);
     }
 
     fn schedule_in(&mut self, delay: f64, ev: TransportEv) {
@@ -202,14 +196,8 @@ impl Medium for TraceMedium {
             return;
         }
         for o in active.iter_mut().filter(|o| !o.use_rts) {
-            o.collided = true;
-            o.corrupt_same_cell = true;
-            o.first_other_start = o.first_other_start.min(tx.start);
-            o.max_other_end = o.max_other_end.max(tx.end);
-            tx.collided = true;
-            tx.corrupt_same_cell = true;
-            tx.first_other_start = tx.first_other_start.min(o.start);
-            tx.max_other_end = tx.max_other_end.max(o.end);
+            o.mark_corrupted(tx.start, tx.end, true);
+            tx.mark_corrupted(o.start, o.end, true);
         }
     }
 
@@ -251,10 +239,7 @@ impl Medium for TraceMedium {
 
     fn after_outcome(&mut self, core: &mut Core, node: usize) {
         if let Some(port) = self.pick_port(node) {
-            if !core.lanes.start_pending[node] {
-                let cw = core.lanes.cw[port];
-                core.schedule_tx_start(node, None, cw);
-            }
+            core.wake(node, port);
         }
     }
 
@@ -548,6 +533,16 @@ mod tests {
         let hidden = run_with(AdapterKind::Fixed(3), 3, 0.0, 5);
         assert_eq!(visible.collisions, 0);
         assert!(hidden.collisions > 0, "hidden terminals must collide");
+        // Pinned exactly: a change to the wake-ups or the collision marks
+        // shows up here on the single-cell path.
+        assert_eq!(
+            (
+                hidden.events_processed,
+                hidden.frames_sent,
+                hidden.collisions
+            ),
+            (29_969, 3_378, 633)
+        );
         assert!(
             hidden.aggregate_goodput_bps < visible.aggregate_goodput_bps,
             "collisions must cost throughput"
