@@ -5,7 +5,8 @@
 //!   carrier-sense / interference arithmetic the pruning radii avoid;
 //! * `Jakes::gain` — the fused single-pass sum-of-sinusoids evaluation
 //!   over preinterleaved `(w, phase)` pairs;
-//! * `analytic_frame_success` — the closed-form success kernel, and the
+//! * `analytic_frame_success_raw` — the closed-form BER and success
+//!   kernels (`analytic_ber` into `frame_success_prob`), and the
 //!   banded rate oracle (`OracleBands`) that almost never needs it;
 //!
 //! Numbers here anchor DESIGN.md §7's cost model; the end-to-end
@@ -17,7 +18,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use softrate_bench::bench_budget;
 
-use softrate_channel::analytic::{analytic_frame_success, OracleBands};
+use softrate_channel::analytic::{analytic_ber, frame_success_prob, OracleBands};
 use softrate_channel::jakes::JakesFading;
 use softrate_net::mobility::MobilitySpec;
 use softrate_net::spatial::SpatialSpec;
@@ -53,7 +54,7 @@ fn bench_snr_between(c: &mut Criterion) {
                 x: 40.0 + (x % 17.0),
                 y: 20.0 - (x % 9.0),
             };
-            p.snr_between(from, to)
+            softrate_net::physics::snr_between(&p, from, to)
         })
     });
     g.bench_function("range_band_inversion", |b| {
@@ -89,7 +90,7 @@ fn bench_frame_success(c: &mut Criterion) {
         let mut k = 0usize;
         b.iter(|| {
             k = k.wrapping_add(1);
-            analytic_frame_success(5.0 + (k % 257) as f64 * 0.1, k % 6, 11_520)
+            frame_success_prob(analytic_ber(5.0 + (k % 257) as f64 * 0.1, k % 6), 11_520)
         })
     });
     g.bench_function("oracle_bands_best_rate", |b| {

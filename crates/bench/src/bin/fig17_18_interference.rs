@@ -1,6 +1,6 @@
 //! Figures 17 and 18: interference-dominated channels. Five uploading
 //! clients with imperfect carrier sense; aggregate TCP throughput vs the
-//! carrier-sense probability, and rate-selection accuracy at Pr[CS]=0.8.
+//! carrier-sense probability, and rate-selection accuracy at Pr\[CS\]=0.8.
 //!
 //! A thin wrapper over the scenario engine: one PHY-backed scenario with a
 //! `topology.carrier_sense_prob` sweep axis and five adapters; the binary

@@ -1,7 +1,7 @@
 //! Rayleigh fading via the Zheng–Xiao sum-of-sinusoids Jakes simulator.
 //!
 //! This is the exact model the paper's GNU Radio channel simulator uses
-//! (§4, reference [26]: Zheng & Xiao, "Simulation Models With Correct
+//! (§4, reference \[26\]: Zheng & Xiao, "Simulation Models With Correct
 //! Statistical Properties for Rayleigh Fading Channels", IEEE Trans.
 //! Communications 2003). The channel gain is a function of absolute time, so
 //! the *same fading process can be sampled for every bit rate* — the
@@ -95,6 +95,13 @@ impl JakesFading {
             hq += (pair[1].0 * t + pair[1].1).cos();
         }
         Complex::new(hi * self.amp, hq * self.amp)
+    }
+
+    /// Envelope power at `t`, dB, floored at −40 dB: deeper fades are
+    /// indistinguishable (nothing decodes either way).
+    #[inline]
+    pub fn envelope_db(&self, t: f64) -> f64 {
+        10.0 * self.gain(t).norm_sqr().max(1e-4).log10()
     }
 }
 

@@ -6,25 +6,20 @@
 //! hundreds of stations roaming between APs. A [`StreamingLink`] replaces
 //! the trace with O(1) state: a seeded Jakes fading process (the *same*
 //! Zheng–Xiao model the trace generators use, a pure function of absolute
-//! time) plus a per-link SplitMix64 stream for the frame-success coin. The
-//! fate of a frame is computed at transmit time from the instantaneous SNR
-//! through the calibrated analytic SNR→BER map — the identical model the
-//! scenario engine's `Analytic` traces are built from, so single-cell
-//! results line up between the two backends.
+//! time) plus a per-link SplitMix64 stream for the frame-success coin.
+//! [`fate_from_draw`] resolves a coin at the instantaneous SNR through
+//! [`Reception`], and the envelope is [`JakesFading::envelope_db`]: the
+//! two functions the scenario engine's `Analytic` traces call, so
+//! single-cell results line up between the two backends. The spatial
+//! verdicts (mean SNR, audibility, capture) are in [`crate::physics`].
 //!
 //! [`LinkTrace`]: softrate_trace::schema::LinkTrace
 
-use softrate_channel::analytic::{
-    analytic_ber, frame_success_prob, DETECT_SNR_DB, HEADER_FAIL_BER,
-};
+use softrate_channel::analytic::Reception;
 use softrate_channel::jakes::JakesFading;
 use softrate_trace::schema::FrameFate;
 
 use crate::stream::SplitMix64;
-
-/// Deep-fade floor: envelope power below -40 dB is indistinguishable
-/// (nothing decodes either way), matching the analytic trace generator.
-const ENVELOPE_FLOOR: f64 = 1e-4;
 
 /// One unidirectional wireless link sampled on demand.
 ///
@@ -48,9 +43,10 @@ impl StreamingLink {
         }
     }
 
-    /// Small-scale fading gain at absolute time `t`, dB (floored).
+    /// Small-scale fading gain at absolute time `t`, dB
+    /// ([`JakesFading::envelope_db`], floored like every analytic trace).
     pub fn envelope_db(&self, t: f64) -> f64 {
-        10.0 * self.jakes.gain(t).norm_sqr().max(ENVELOPE_FLOOR).log10()
+        self.jakes.envelope_db(t)
     }
 
     /// Consumes and returns the link's next fate coin (uniform `[0, 1)`).
@@ -68,23 +64,13 @@ impl StreamingLink {
 /// Resolves the interference-free fate of a `frame_bits`-bit frame sent
 /// at `rate_idx` from a drawn coin `u` and the instantaneous SNR `snr`.
 pub fn fate_from_draw(u: f64, snr: f64, rate_idx: usize, frame_bits: usize) -> FrameFate {
-    if snr < DETECT_SNR_DB {
-        return FrameFate {
-            detected: false,
-            header_ok: false,
-            delivered: false,
-            ber_feedback: None,
-            snr_feedback_db: None,
-        };
-    }
-    let ber = analytic_ber(snr, rate_idx);
-    let header_ok = ber < HEADER_FAIL_BER;
+    let rx = Reception::at(snr, rate_idx);
     FrameFate {
-        detected: true,
-        header_ok,
-        delivered: header_ok && u < frame_success_prob(ber, frame_bits),
-        ber_feedback: header_ok.then_some(ber),
-        snr_feedback_db: header_ok.then_some(snr),
+        detected: rx.detected,
+        header_ok: rx.ber.is_some(),
+        delivered: rx.delivers(u, frame_bits),
+        ber_feedback: rx.ber,
+        snr_feedback_db: rx.ber.map(|_| snr),
     }
 }
 
@@ -172,6 +158,55 @@ mod tests {
             let db = l.envelope_db(k as f64 * 0.003);
             assert!(db >= -40.0 - 1e-9);
             assert!(db < 15.0, "Rayleigh peaks are bounded in practice: {db}");
+        }
+    }
+
+    /// Adjacent SNRs `(lost, ok)` straddling rate `r`'s header verdict:
+    /// `analytic_ber(lost) >= HEADER_FAIL_BER > analytic_ber(ok)`.
+    fn header_edge(r: usize) -> (f64, f64) {
+        use softrate_channel::analytic::{analytic_ber, HEADER_FAIL_BER};
+        let (mut lost, mut ok) = (-3.0f64, 30.0f64);
+        while ok.next_down() > lost {
+            let mid = lost + (ok - lost) / 2.0;
+            let mid = if mid <= lost || mid >= ok {
+                lost.next_up()
+            } else {
+                mid
+            };
+            if analytic_ber(mid, r) < HEADER_FAIL_BER {
+                ok = mid;
+            } else {
+                lost = mid;
+            }
+        }
+        (lost, ok)
+    }
+
+    #[test]
+    fn detection_boundary_is_inclusive() {
+        use softrate_channel::analytic::DETECT_SNR_DB;
+        for r in 0..6 {
+            assert!(
+                fate_from_draw(0.0, DETECT_SNR_DB, r, 8000).detected,
+                "rate {r}"
+            );
+            let below = fate_from_draw(0.0, DETECT_SNR_DB.next_down(), r, 8000);
+            assert!(!below.detected && !below.header_ok, "rate {r}");
+        }
+    }
+
+    #[test]
+    fn header_verdict_flips_at_its_ber_limit() {
+        for r in 0..6 {
+            let (lost, ok) = header_edge(r);
+            assert_eq!(ok, lost.next_up());
+            let f = fate_from_draw(0.0, lost, r, 8000);
+            assert!(
+                f.detected && !f.header_ok && f.ber_feedback.is_none(),
+                "rate {r}"
+            );
+            let f = fate_from_draw(0.0, ok, r, 8000);
+            assert!(f.header_ok && f.snr_feedback_db == Some(ok), "rate {r}");
         }
     }
 }

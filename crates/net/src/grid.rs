@@ -25,7 +25,7 @@
 //!   `reach` that share the cell are rejected by the caller's check.
 //!
 //! Sizing: cells are squares of side `reach`, doubled until the floor
-//! needs at most [`MAX_CELLS`] of them. When the sensing disk covers a
+//! needs at most `MAX_CELLS` (4096) of them. When the sensing disk covers a
 //! quarter of the floor or more (`π·reach²·4 ≥ area`) a grid buys
 //! nothing, and the index is a single cell that the lookup returns
 //! without computing a cell index from the query position.

@@ -7,20 +7,21 @@
 //! stations for minutes of sim time.
 //!
 //! * [`geometry`] — points, the AP grid, log-distance path loss.
+//! * [`physics`] — the radio verdicts, one function each: mean SNR,
+//!   audibility, and capture.
 //! * [`mobility`] — static / linear / random-waypoint models, all pure
 //!   functions of time.
 //! * [`stream`] — SplitMix64, the per-link deterministic coin stream.
 //! * [`channel`] — [`channel::StreamingLink`]: Jakes fading + the
-//!   calibrated analytic SNR→BER map, sampled at transmit time.
+//!   calibrated analytic reception verdict, sampled at transmit time.
 //! * [`grid`] — the carrier-sense index: per-cell end-descending lists
 //!   of the active transmitters that could be audible in each cell.
 //! * [`spatial`] — the `[topology.spatial]` specification and its resolved
 //!   parameters (grid, thresholds, roaming policy).
 //! * [`sim`] — the multi-cell simulator: the shared
-//!   `softrate_sim::mac::MacEngine` configured with a spatial medium —
-//!   physical carrier sense, SIR-based inter-cell interference with the
-//!   §6.4 collision-feedback semantics, and RSSI-threshold handoff with
-//!   adapter state preserved or reset.
+//!   `softrate_sim::mac::MacEngine` configured with a spatial medium,
+//!   whose private submodules split it by concern: `medium` (the engine
+//!   hooks and collision marking), `sense`, `flows`, `roaming`, `faults`.
 //!
 //! Scenario documents reach this layer through `softrate-scenario`'s
 //! `[topology.spatial]` table; the `netscale` bench binary measures its
@@ -33,6 +34,7 @@ pub mod channel;
 pub mod geometry;
 pub mod grid;
 pub mod mobility;
+pub mod physics;
 pub mod sim;
 pub mod spatial;
 pub mod stream;

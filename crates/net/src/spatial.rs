@@ -8,9 +8,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::geometry::{ap_grid, grid_bounds, mean_snr_db, Point, Rect};
+use crate::geometry::{ap_grid, grid_bounds, Point, Rect};
 use crate::grid::dist2;
 use crate::mobility::MobilitySpec;
+use crate::physics::snr_between;
 use crate::stream::mix_seed;
 
 /// Carrier wavelength assumed when deriving Doppler spread from station
@@ -199,12 +200,6 @@ impl SpatialParams {
             .position_at(&self.bounds, self.station_seed(seed, s), t)
     }
 
-    /// Mean (path-loss only) SNR of a transmission from `from` heard at
-    /// `to`, dB.
-    pub fn snr_between(&self, from: Point, to: Point) -> f64 {
-        mean_snr_db(self.snr_ref_db, self.path_loss_exp, from.dist(to))
-    }
-
     /// Conservative two-sided inversion of the log-distance model for the
     /// threshold test `snr_between >= threshold_db`: returns `(lo, hi)`
     /// such that every link at distance `<= lo` certainly **passes** the
@@ -232,12 +227,6 @@ impl SpatialParams {
         (r * (1.0 - 1e-9) - 1e-9, r * (1.0 + 1e-9) + 1e-9)
     }
 
-    /// The conservative *outer* radius of [`SpatialParams::range_band`]:
-    /// beyond it, a link provably fails the threshold test.
-    pub fn range_for_threshold(&self, threshold_db: f64) -> f64 {
-        self.range_band(threshold_db).1
-    }
-
     /// The AP with the strongest mean RSSI at `pos` (first index wins
     /// ties) and that RSSI in dB, skipping APs flagged in `down`; `None`
     /// when every AP is down. Only APs whose clamped `max(d², 1)` lies
@@ -259,7 +248,7 @@ impl SpatialParams {
         let cutoff = nearest * 10f64.powf(pad);
         let mut best = None;
         for (a, &ap) in live().filter(|&(_, &ap)| d2(ap) <= cutoff) {
-            let rssi = self.snr_between(pos, ap);
+            let rssi = snr_between(self, pos, ap);
             if best.is_none_or(|(_, b)| rssi > b) {
                 best = Some((a, rssi));
             }
@@ -375,7 +364,7 @@ mod tests {
         let near_middle = Point { x: 31.0, y: 0.5 };
         let (a, rssi) = p.best_ap(near_middle, Some(&[false, true, false])).unwrap();
         assert_eq!(a, 2, "AP 2 at 29 m beats AP 0 at 31 m");
-        assert_eq!(rssi, p.snr_between(near_middle, p.aps[2]));
+        assert_eq!(rssi, snr_between(&p, near_middle, p.aps[2]));
         assert!(p.best_ap(near_middle, Some(&[true; 3])).is_none());
     }
 
@@ -391,7 +380,7 @@ mod tests {
             for k in 0..2000 {
                 let d = 0.5 + k as f64 * 0.1;
                 let to = Point { x: d, y: 0.0 };
-                let passes = p.snr_between(origin, to) >= threshold;
+                let passes = snr_between(&p, origin, to) >= threshold;
                 if d <= lo {
                     assert!(passes, "d={d} <= lo={lo} must pass at T={threshold}");
                 }
@@ -399,7 +388,6 @@ mod tests {
                     assert!(!passes, "d={d} >= hi={hi} must fail at T={threshold}");
                 }
             }
-            assert_eq!(p.range_for_threshold(threshold), hi);
         }
     }
 
@@ -411,7 +399,7 @@ mod tests {
         assert_eq!(hi, 0.0, "every distance certainly fails");
         // And the exact check agrees even at the 1 m clamp.
         let a = Point { x: 0.0, y: 0.0 };
-        assert!(p.snr_between(a, a) < p.snr_ref_db + 1.0);
+        assert!(snr_between(&p, a, a) < p.snr_ref_db + 1.0);
     }
 
     #[test]

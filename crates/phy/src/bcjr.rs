@@ -1,7 +1,7 @@
 //! Soft-output BCJR (log-MAP) decoder for the 802.11 convolutional code.
 //!
 //! This is the decoder the paper's receiver uses (§4: "decodes it using the
-//! soft output BCJR decoder [2], which outputs LLRs that are used to compute
+//! soft output BCJR decoder \[2\], which outputs LLRs that are used to compute
 //! the SoftPHY hints"). For each information bit `x_k` it computes the exact
 //! a-posteriori log-likelihood ratio
 //!

@@ -1,7 +1,7 @@
 //! Preamble generation and preamble-based channel / SNR estimation.
 //!
 //! The paper's prototype "computes an SNR estimate for each received frame
-//! using the Schmidl-Cox method [22]" — i.e. from the *repeated training
+//! using the Schmidl-Cox method \[22\]" — i.e. from the *repeated training
 //! symbols at the start of the frame*. We reproduce that structure: two
 //! identical preamble OFDM symbols; averaging them estimates the channel,
 //! differencing them estimates the noise floor. Crucially this measures SNR

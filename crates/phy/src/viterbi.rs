@@ -1,6 +1,6 @@
 //! Soft-input Viterbi decoding, with an optional soft-output (SOVA) mode.
 //!
-//! The paper proposes "Viterbi [6] with soft outputs [8], or BCJR [2]" as
+//! The paper proposes "Viterbi \[6\] with soft outputs \[8\], or BCJR \[2\]" as
 //! SoftPHY hint sources (§3.1). The main pipeline uses BCJR
 //! ([`crate::bcjr`]); this module provides the classic maximum-likelihood
 //! hard decoder used for cross-checking, plus a Hagenauer-Hoeher style SOVA

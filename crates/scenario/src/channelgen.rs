@@ -17,6 +17,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use softrate_channel::analytic::Reception;
 use softrate_channel::jakes::JakesFading;
 use softrate_channel::link::{Link, LinkConfig};
 use softrate_channel::pathloss::Attenuation;
@@ -28,12 +29,6 @@ use softrate_trace::schema::{hash_uniform, LinkTrace, TraceEntry};
 
 use crate::spec::{ChannelModel, ChannelSpec, ScenarioSpec};
 
-// The closed-form SNR→BER map lives in `softrate_channel::analytic` (the
-// spatial network layer samples it too); re-exported here for the existing
-// callers of this module.
-pub use softrate_channel::analytic::{analytic_ber, REQUIRED_SNR_DB};
-use softrate_channel::analytic::{DETECT_SNR_DB, HEADER_FAIL_BER};
-
 /// Probe payload bits assumed by the analytic model (100 B + CRC-32).
 const PROBE_BITS: usize = 832;
 
@@ -44,10 +39,7 @@ fn instantaneous_snr_db(channel: &ChannelSpec, fading: Option<&JakesFading>, t: 
     let atten = channel.attenuation.unwrap_or(Attenuation::NONE);
     let mut snr = channel.snr_db + atten.db_at(t);
     if let Some(j) = fading {
-        // Rayleigh envelope in dB, floored: deep nulls below -40 dB are
-        // indistinguishable (nothing decodes either way).
-        let g = j.gain(t).norm_sqr().max(1e-4);
-        snr += 10.0 * g.log10();
+        snr += j.envelope_db(t);
     }
     if let Some(b) = &channel.interference {
         if t.rem_euclid(b.period) < b.burst_len {
@@ -77,23 +69,20 @@ fn analytic_trace(spec: &ScenarioSpec, name: String, seed: u64) -> LinkTrace {
     for step in 0..n_steps {
         let t = step as f64 * interval;
         let snr = instantaneous_snr_db(&spec.channel, fading.as_ref(), t);
-        let detected = snr >= DETECT_SNR_DB;
         for (r, rate_series) in series.iter_mut().enumerate() {
-            let ber = analytic_ber(snr, r);
+            let rx = Reception::at(snr, r);
             let mut e = TraceEntry::silent(t, r, snr);
-            e.detected = detected;
-            if detected {
-                // The link-layer header is short and separately protected;
-                // it survives anything but catastrophic BER.
-                e.header_ok = ber < HEADER_FAIL_BER;
+            if rx.detected {
+                e.detected = true;
                 e.probe_bits = PROBE_BITS;
-                if e.header_ok {
-                    e.true_ber = Some(ber);
-                    e.softphy_ber = Some(ber);
-                    e.snr_est_db = Some(snr);
-                    let p_probe = (1.0 - ber).powi(PROBE_BITS as i32);
-                    e.delivered = hash_uniform(&[seed, step as u64, r as u64, 0xA11A]) < p_probe;
-                }
+            }
+            if let Some(ber) = rx.ber {
+                e.header_ok = true;
+                e.true_ber = Some(ber);
+                e.softphy_ber = Some(ber);
+                e.snr_est_db = Some(snr);
+                let u = hash_uniform(&[seed, step as u64, r as u64, 0xA11A]);
+                e.delivered = rx.delivers(u, PROBE_BITS);
             }
             rate_series.push(e);
         }
@@ -184,6 +173,7 @@ mod tests {
     use crate::spec::{
         BurstInterference, ChannelSpec, ScenarioSpec, TopologySpec, TrafficModel, TrafficSpec,
     };
+    use softrate_channel::analytic::{analytic_ber, REQUIRED_SNR_DB};
     use softrate_channel::model::FadingSpec;
 
     fn spec_with(channel: ChannelSpec) -> ScenarioSpec {
@@ -295,5 +285,40 @@ mod tests {
             c.to_json(),
             "links must get distinct realizations"
         );
+    }
+
+    #[test]
+    fn trace_verdicts_flip_at_detection_and_header_limits() {
+        use softrate_channel::analytic::{analytic_ber, DETECT_SNR_DB, HEADER_FAIL_BER};
+        let entry = |snr_db: f64, r: usize| {
+            let tr = build_trace(&spec_with(analytic_channel(snr_db, FadingSpec::None)), 1, 0);
+            tr.entry(r, 0.0).clone()
+        };
+        for r in 0..N_RATES {
+            assert!(entry(DETECT_SNR_DB, r).detected, "rate {r}");
+            assert!(!entry(DETECT_SNR_DB.next_down(), r).detected, "rate {r}");
+            // Adjacent SNRs straddling the header's BER limit.
+            let (mut lost, mut ok) = (DETECT_SNR_DB, 30.0f64);
+            while ok.next_down() > lost {
+                let mid = lost + (ok - lost) / 2.0;
+                let mid = if mid <= lost || mid >= ok {
+                    lost.next_up()
+                } else {
+                    mid
+                };
+                if analytic_ber(mid, r) < HEADER_FAIL_BER {
+                    ok = mid;
+                } else {
+                    lost = mid;
+                }
+            }
+            let e = entry(lost, r);
+            assert!(
+                e.detected && !e.header_ok && e.true_ber.is_none(),
+                "rate {r}"
+            );
+            let e = entry(ok, r);
+            assert!(e.header_ok && e.snr_est_db == Some(ok), "rate {r}");
+        }
     }
 }

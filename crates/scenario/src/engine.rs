@@ -482,7 +482,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// [`run_plan_with_options`], but a panicking engine yields a
+/// `run_plan_with_options`, but a panicking engine yields a
 /// [`FailedRunRow`] instead of tearing down the whole matrix. The
 /// `AssertUnwindSafe` is sound because the run's entire mutable state is
 /// constructed inside the closure and abandoned on unwind — nothing

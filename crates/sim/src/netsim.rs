@@ -6,11 +6,11 @@
 //! SIFS, retry limit) and *probabilistic carrier sense* between client
 //! senders (§6.4). The DCF itself — backoff, in-flight tracking, the
 //! feedback-window state machine — lives in the shared
-//! [`MacEngine`](crate::mac::MacEngine); everything above the MAC — TCP
+//! [`MacEngine`]; everything above the MAC — TCP
 //! NewReno flows in either direction, saturated UDP, the bursty on–off
 //! source, the wired AP↔LAN hop, and the RTO plumbing — lives in the
-//! shared [`TransportLayer`](crate::transport::TransportLayer). This
-//! module contributes [`TraceMedium`], the environment where frame fates
+//! shared [`TransportLayer`]. This
+//! module contributes `TraceMedium`, the environment where frame fates
 //! on a clean medium come from per-link [`LinkTrace`]s, overlapping
 //! transmissions corrupt each other ("we assume both colliding frames are
 //! lost", §6.1), and the SoftRate feedback under collision follows §6.4:
@@ -265,7 +265,7 @@ impl Medium for TraceMedium {
     }
 }
 
-/// The simulator: a [`MacEngine`] configured with a [`TraceMedium`].
+/// The simulator: a [`MacEngine`] configured with a `TraceMedium`.
 pub struct NetSim {
     engine: MacEngine<TraceMedium>,
 }

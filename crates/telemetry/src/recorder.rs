@@ -227,7 +227,7 @@ pub struct OutcomeEvent {
 }
 
 /// One rate-adaptation decision, as reported by the engine (the engine
-/// resolves the adapter's [`softrate_core`-side] decision record into
+/// resolves the adapter's `softrate_core`-side decision record into
 /// station/port coordinates and trigger names before calling the hook).
 #[derive(Debug, Clone, Copy)]
 pub struct DecisionEvent {

@@ -8,6 +8,7 @@
 //! *same* fading realization.
 
 use serde::{Deserialize, Serialize};
+use softrate_channel::analytic::{essentially_guaranteed, frame_success_prob};
 
 /// One probe observation at one `(time, rate)` point.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -55,10 +56,8 @@ impl TraceEntry {
     /// Success probability of an `frame_bits`-bit frame under this entry's
     /// channel (independent-bit-error model over the measured true BER).
     pub fn frame_success_prob(&self, frame_bits: usize) -> f64 {
-        match self.true_ber {
-            None => 0.0,
-            Some(b) => (1.0 - b).powi(frame_bits as i32).clamp(0.0, 1.0),
-        }
+        self.true_ber
+            .map_or(0.0, |ber| frame_success_prob(ber, frame_bits))
     }
 }
 
@@ -181,7 +180,8 @@ impl LinkTrace {
         let mut best = 0;
         for (r, series) in self.series.iter().enumerate() {
             let e = &series[step];
-            if e.detected && e.header_ok && e.frame_success_prob(frame_bits) > 0.95 {
+            if e.detected && e.header_ok && essentially_guaranteed(e.frame_success_prob(frame_bits))
+            {
                 best = r;
             }
         }

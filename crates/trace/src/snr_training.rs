@@ -68,7 +68,7 @@ pub fn observations_from_trace(trace: &LinkTrace) -> Vec<SnrObservation> {
 ///
 /// For each rate, observations are bucketed into 1 dB bins; the threshold
 /// is the lowest bin from which *every* higher populated bin delivers at
-/// least [`TARGET_DELIVERY`] of its frames. Cross-rate monotonicity is then
+/// least `TARGET_DELIVERY` (90 %) of its frames. Cross-rate monotonicity is then
 /// enforced (a faster rate can never have a lower threshold).
 pub fn train_snr_table(observations: &[SnrObservation]) -> SnrTable {
     let mut thresholds = vec![f64::NAN; N_RATES];

@@ -298,7 +298,7 @@ proptest! {
                     if down.as_ref().is_some_and(|d| d[a]) {
                         continue;
                     }
-                    let rssi = p.snr_between(pos, ap);
+                    let rssi = softrate::net::physics::snr_between(&p, pos, ap);
                     if rssi > best_rssi {
                         expect = Some(a);
                         best_rssi = rssi;
